@@ -23,9 +23,6 @@ presents a single ``interpolate(name, points)`` interface.
 Out-of-bounds queries are clamped to the boundary (constant extrapolation);
 non-finite query points yield NaN output rows instead of garbage indices —
 load-bearing once the ray marcher samples positions in bulk.
-
-With ``REPRO_NUMBA=1`` (see :mod:`repro.perf.accel`) the gather+lerp core is
-JIT-compiled; the NumPy path remains the default and the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.datamodel import Dataset, ImageData
-from repro.perf import accel
 
 __all__ = ["TrilinearSampler", "trilinear_interpolate", "FieldInterpolator"]
 
@@ -184,9 +180,6 @@ class TrilinearSampler:
         np.add(yz, i0[0], out=yz)
 
         fx, fy, fz = frac[0], frac[1], frac[2]
-        kernel = accel.trilinear_gather_lerp_kernel()
-        if kernel is not None:
-            return kernel(self._values, idx8, fx, fy, fz)
         if workspace is None:
             return _gather_lerp(self._values, idx8, fx, fy, fz)
         return _gather_lerp(

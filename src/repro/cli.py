@@ -164,14 +164,11 @@ def _add_llm_arguments(parser: argparse.ArgumentParser) -> None:
 # repro eval
 # --------------------------------------------------------------------------- #
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    from repro.engine.cache import configure_shared_cache, shared_cache
+    from repro.engine.cache import shared_cache
     from repro.eval.harness import DEFAULT_RESOLUTION, PAPER_MODELS, run_table_two
     from repro.llm.core.budget import BudgetExceededError
 
-    cache_dir: Optional[Path] = None
-    if not ns.no_cache:
-        cache_dir = resolve_cache_dir(ns.cache_dir)
-        configure_shared_cache(cache_dir)
+    cache_dir = _configure_cache(ns)
     cache = shared_cache()
     stats_before = cache.stats.snapshot()
 
@@ -252,6 +249,23 @@ def _add_scenario_filters(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _open_store(ns: argparse.Namespace, default_name: str):
+    """The ``--results`` store (default ``WORKING_DIR/default_name``), emptied by ``--fresh``."""
+    from repro.scenarios import SuiteStore
+
+    store = SuiteStore(Path(ns.results) if ns.results else Path(ns.working_dir) / default_name)
+    if ns.fresh:
+        store.clear()
+    return store
+
+
+def _write_reports(ns: argparse.Namespace, report) -> None:
+    if ns.report:
+        print(f"wrote {report.write_markdown(ns.report)}")
+    if ns.report_json:
+        print(f"wrote {report.write_json(ns.report_json)}")
+
+
 def _cmd_suite_list(ns: argparse.Namespace) -> int:
     scenarios = _select_scenarios(ns)
     if ns.json:
@@ -280,7 +294,7 @@ def _cmd_suite_list(ns: argparse.Namespace) -> int:
 
 def _cmd_suite_run(ns: argparse.Namespace) -> int:
     from repro.llm.core.budget import BudgetExceededError
-    from repro.scenarios import SuiteRunner, SuiteStore, build_report
+    from repro.scenarios import SuiteRunner, build_report
     from repro.scenarios.suite import REVIEW_METHOD
 
     cache_dir = _configure_cache(ns)
@@ -294,17 +308,13 @@ def _cmd_suite_run(ns: argparse.Namespace) -> int:
     if ns.chatvis:
         methods.insert(0, "ChatVis")
 
-    working_dir = Path(ns.working_dir)
-    store = SuiteStore(Path(ns.results) if ns.results else working_dir / "suite-results.jsonl")
-    if ns.fresh:
-        store.clear()
-
+    store = _open_store(ns, "suite-results.jsonl")
     llm_cache_dir = _resolve_llm_cache(ns)
     started = time.perf_counter()
     runner = SuiteRunner(
         scenarios,
         methods=methods,
-        working_dir=working_dir,
+        working_dir=Path(ns.working_dir),
         store=store,
         resolution=ns.resolution,
         max_workers=ns.max_workers,
@@ -352,10 +362,7 @@ def _cmd_suite_run(ns: argparse.Namespace) -> int:
             f"{model:>14s}: ${spend['cost']:.4f} over {spend['calls']} calls "
             f"({spend['cached_calls']} cache hits, {spend['retries']} retries)"
         )
-    if ns.report:
-        print(f"wrote {report.write_markdown(ns.report)}")
-    if ns.report_json:
-        print(f"wrote {report.write_json(ns.report_json)}")
+    _write_reports(ns, report)
     # 3 = "completed with failures": every cell ran (or was recorded as a
     # structured failure) and the store is resumable — distinct from 1
     # (couldn't run at all) and 2 (budget trip aborted the run).
@@ -372,13 +379,7 @@ def _cmd_suite_diff(ns: argparse.Namespace) -> int:
         if not store_path.exists():
             print(f"no records: results store {store_path} does not exist")
             return 1
-        stores.append(
-            {
-                key: record
-                for key, record in SuiteStore(store_path).load().items()
-                if not record.get("failed")
-            }
-        )
+        stores.append(SuiteStore(store_path).results())
     left, right = stores
 
     def canonical(record) -> str:
@@ -406,16 +407,21 @@ def _cmd_suite_diff(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_suite_report(ns: argparse.Namespace) -> int:
-    from repro.scenarios import load_report
+def _cmd_report(ns: argparse.Namespace) -> int:
+    """``repro suite report`` / ``repro verify report``: one store's matrix."""
+    from repro.scenarios import load_report, load_verify_report
 
+    load, noun = {
+        "suite": (load_report, "results store"),
+        "verify": (load_verify_report, "verdict store"),
+    }[ns.command]
     results = Path(ns.results)
     if not results.exists():
-        print(f"no records: results store {results} does not exist — run `repro suite run` first")
+        print(f"no records: {noun} {results} does not exist — run `repro {ns.command} run` first")
         return 1
-    report = load_report(results)
+    report = load(results)
     if report.n_cells == 0:
-        print(f"no records: results store {results} is empty — run `repro suite run` first")
+        print(f"no records: {noun} {results} is empty — run `repro {ns.command} run` first")
     if ns.markdown:
         print(f"wrote {report.write_markdown(ns.markdown)}")
     if ns.json:
@@ -449,18 +455,14 @@ def _verify_runner(ns: argparse.Namespace, scenarios, cache_dir: Optional[Path],
 
 
 def _cmd_verify_run(ns: argparse.Namespace) -> int:
-    from repro.scenarios import SuiteStore, build_verify_report
+    from repro.scenarios import build_verify_report
 
     cache_dir = _configure_cache(ns)
     scenarios = _select_scenarios(ns)
     if not scenarios:
         print("no scenarios selected")
         return 1
-    working_dir = Path(ns.working_dir)
-    store = SuiteStore(Path(ns.results) if ns.results else working_dir / "verify-results.jsonl")
-    if ns.fresh:
-        store.clear()
-
+    store = _open_store(ns, "verify-results.jsonl")
     started = time.perf_counter()
     runner = _verify_runner(ns, scenarios, cache_dir, store=store)
     summary = runner.run(resume=True)
@@ -477,35 +479,12 @@ def _cmd_verify_run(ns: argparse.Namespace) -> int:
             f"{details[0] if details else ''}"
         )
 
-    report = build_verify_report(summary.records)
-    if ns.report:
-        print(f"wrote {report.write_markdown(ns.report)}")
-    if ns.report_json:
-        print(f"wrote {report.write_json(ns.report_json)}")
+    _write_reports(ns, build_verify_report(summary.records))
     # violations (a relation actually falsified) outrank failures (cells
     # that errored out and were recorded for resume)
     if summary.violations:
         return 1
     return 3 if summary.failures else 0
-
-
-def _cmd_verify_report(ns: argparse.Namespace) -> int:
-    from repro.scenarios import load_verify_report
-
-    results = Path(ns.results)
-    if not results.exists():
-        print(f"no records: verdict store {results} does not exist — run `repro verify run` first")
-        return 1
-    report = load_verify_report(results)
-    if report.n_cells == 0:
-        print(f"no records: verdict store {results} is empty — run `repro verify run` first")
-    if ns.markdown:
-        print(f"wrote {report.write_markdown(ns.markdown)}")
-    if ns.json:
-        print(f"wrote {report.write_json(ns.json)}")
-    if not ns.markdown and not ns.json:
-        print(report.to_markdown())
-    return 0
 
 
 def _cmd_verify_update_goldens(ns: argparse.Namespace) -> int:
@@ -792,6 +771,45 @@ def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
+    """The workspace, executor and disk-cache options of every matrix command."""
+    parser.add_argument("working_dir", help="directory for per-cell workspaces")
+    parser.add_argument("--max-workers", type=int, default=1)
+    parser.add_argument(
+        "--executor",
+        choices=("thread", "process"),
+        default="thread",
+        help="concurrency substrate for the cells",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="run without the persistent disk tier"
+    )
+    _add_cache_dir_argument(parser)
+
+
+def _add_store_arguments(parser: argparse.ArgumentParser, default_name: str) -> None:
+    """The resumable results store and report outputs of ``suite run``/``verify run``."""
+    parser.add_argument(
+        "--results",
+        default=None,
+        help=f"JSONL results store (default: WORKING_DIR/{default_name})",
+    )
+    parser.add_argument(
+        "--fresh", action="store_true", help="discard the results store before running"
+    )
+    parser.add_argument("--report", default=None, help="also write the markdown report here")
+    parser.add_argument("--report-json", default=None, help="also write the JSON report here")
+
+
+def _add_report_parser(subparsers, noun: str, matrix: str) -> None:
+    """The ``report`` subcommand of ``suite`` and ``verify``."""
+    parser = subparsers.add_parser("report", help=f"aggregate a {noun} into {matrix}")
+    parser.add_argument("results", help=f"path to the JSONL {noun}")
+    parser.add_argument("--markdown", default=None, help="write markdown here instead of stdout")
+    parser.add_argument("--json", default=None, help="also write the JSON report here")
+    parser.set_defaults(func=_cmd_report)
+
+
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -840,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser = subparsers.add_parser(
         "eval", help="regenerate the Table II matrix (optionally parallel + disk-cached)"
     )
-    eval_parser.add_argument("working_dir", help="directory for per-cell session workspaces")
+    _add_matrix_arguments(eval_parser)
     eval_parser.add_argument(
         "--models", type=_parse_csv, default=None, help="comma-separated model list"
     )
@@ -850,22 +868,11 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument(
         "--resolution", type=_parse_resolution, default=None, help="render size, e.g. 480x270"
     )
-    eval_parser.add_argument("--max-workers", type=int, default=1)
-    eval_parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="concurrency substrate for the cells",
-    )
     eval_parser.add_argument("--max-iterations", type=int, default=5)
     eval_parser.add_argument(
         "--no-chatvis", action="store_true", help="skip the assisted ChatVis column"
     )
-    eval_parser.add_argument(
-        "--no-cache", action="store_true", help="run without the persistent disk tier"
-    )
     _add_llm_arguments(eval_parser)
-    _add_cache_dir_argument(eval_parser)
     _add_trace_argument(eval_parser)
     eval_parser.set_defaults(func=_cmd_eval)
 
@@ -882,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = suite_sub.add_parser(
         "run", help="run the scenario × model matrix against a resumable JSONL store"
     )
-    run_parser.add_argument("working_dir", help="directory for per-cell session workspaces")
+    _add_matrix_arguments(run_parser)
+    _add_store_arguments(run_parser, "suite-results.jsonl")
     _add_scenario_filters(run_parser)
     run_parser.add_argument(
         "--models", type=_parse_csv, default=None, help="comma-separated model list (default: gpt-4)"
@@ -897,21 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every scenario's render size, e.g. 160x120",
     )
     run_parser.add_argument(
-        "--results",
-        default=None,
-        help="JSONL results store (default: WORKING_DIR/suite-results.jsonl)",
-    )
-    run_parser.add_argument(
-        "--fresh", action="store_true", help="discard the results store before running"
-    )
-    run_parser.add_argument("--max-workers", type=int, default=1)
-    run_parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="concurrency substrate for the cells",
-    )
-    run_parser.add_argument(
         "--blocks",
         type=int,
         default=None,
@@ -923,33 +916,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="ghost layer width for block decomposition (with --blocks)",
     )
-    run_parser.add_argument(
-        "--no-cache", action="store_true", help="run without the persistent disk tier"
-    )
     _add_llm_arguments(run_parser)
     run_parser.add_argument(
         "--prefetch",
         action="store_true",
         help="warm the completion cache concurrently before running the cells",
     )
-    run_parser.add_argument("--report", default=None, help="also write the markdown report here")
-    run_parser.add_argument(
-        "--report-json", default=None, help="also write the JSON report here"
-    )
-    _add_cache_dir_argument(run_parser)
     _add_trace_argument(run_parser)
     _add_fault_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_suite_run)
 
-    report_parser = suite_sub.add_parser(
-        "report", help="aggregate a results store into success/error matrices"
-    )
-    report_parser.add_argument("results", help="path to the JSONL results store")
-    report_parser.add_argument(
-        "--markdown", default=None, help="write markdown here instead of stdout"
-    )
-    report_parser.add_argument("--json", default=None, help="also write the JSON report here")
-    report_parser.set_defaults(func=_cmd_suite_report)
+    _add_report_parser(suite_sub, "results store", "success/error matrices")
 
     diff_parser = suite_sub.add_parser(
         "diff",
@@ -966,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = verify_parser.add_subparsers(dest="verify_command", required=True)
 
     def _add_verify_common(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("working_dir", help="directory for per-cell verification workspaces")
+        _add_matrix_arguments(parser)
         _add_scenario_filters(parser)
         parser.add_argument(
             "--relations",
@@ -985,51 +962,17 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="golden-artifact store root (default: WORKING_DIR/goldens)",
         )
-        parser.add_argument("--max-workers", type=int, default=1)
-        parser.add_argument(
-            "--executor",
-            choices=("thread", "process"),
-            default="thread",
-            help="concurrency substrate for the verdict cells",
-        )
-        parser.add_argument(
-            "--no-cache", action="store_true", help="run without the persistent disk tier"
-        )
-        _add_cache_dir_argument(parser)
 
     verify_run_parser = verify_sub.add_parser(
         "run", help="run the scenario × relation matrix against a resumable JSONL store"
     )
     _add_verify_common(verify_run_parser)
-    verify_run_parser.add_argument(
-        "--results",
-        default=None,
-        help="JSONL verdict store (default: WORKING_DIR/verify-results.jsonl)",
-    )
-    verify_run_parser.add_argument(
-        "--fresh", action="store_true", help="discard the verdict store before running"
-    )
-    verify_run_parser.add_argument(
-        "--report", default=None, help="also write the markdown verification matrix here"
-    )
-    verify_run_parser.add_argument(
-        "--report-json", default=None, help="also write the JSON report here"
-    )
+    _add_store_arguments(verify_run_parser, "verify-results.jsonl")
     _add_trace_argument(verify_run_parser)
     _add_fault_arguments(verify_run_parser)
     verify_run_parser.set_defaults(func=_cmd_verify_run)
 
-    verify_report_parser = verify_sub.add_parser(
-        "report", help="aggregate a verdict store into the verification matrix"
-    )
-    verify_report_parser.add_argument("results", help="path to the JSONL verdict store")
-    verify_report_parser.add_argument(
-        "--markdown", default=None, help="write markdown here instead of stdout"
-    )
-    verify_report_parser.add_argument(
-        "--json", default=None, help="also write the JSON report here"
-    )
-    verify_report_parser.set_defaults(func=_cmd_verify_report)
+    _add_report_parser(verify_sub, "verdict store", "the verification matrix")
 
     goldens_parser = verify_sub.add_parser(
         "update-goldens",

@@ -1,31 +1,19 @@
 """``repro.perf`` — the performance trajectory subsystem.
 
-Two halves:
+:mod:`repro.perf.manifest` / :mod:`repro.perf.report` are the canonical
+benchmark manifest runner behind ``repro bench manifest``: they time the
+substrate kernels (current vs. pinned ``_*_loop`` references), the
+canonical-suite wall clock and the cold/warm cache, and write the schema'd
+``BENCH_<n>.json`` committed per PR as the repo's perf trajectory.
 
-* :mod:`repro.perf.accel` — the ``REPRO_NUMBA`` feature flag gating optional
-  compiled kernels (NumPy stays the default and the reference).  Kept
-  dependency-light because the hot-path modules import it at load time.
-* :mod:`repro.perf.manifest` / :mod:`repro.perf.report` — the canonical
-  benchmark manifest runner behind ``repro bench manifest``: times the
-  substrate kernels (current vs. pinned ``_*_loop`` references), the
-  canonical-suite wall clock and the cold/warm cache, and writes the
-  schema'd ``BENCH_<n>.json`` committed per PR as the repo's perf
-  trajectory.
-
-The manifest half pulls in data generators, the engine and the scenario
-catalog, so it is imported lazily — ``from repro.perf import run_manifest``
-still works, but ``import repro.perf`` alone stays cheap.
+The manifest pulls in data generators, the engine and the scenario catalog,
+so it is imported lazily — ``from repro.perf import run_manifest`` still
+works, but ``import repro.perf`` alone stays cheap.
 """
 
 from __future__ import annotations
 
-from repro.perf.accel import NUMBA_ENV_VAR, numba_available, numba_enabled, numba_requested
-
 __all__ = [
-    "NUMBA_ENV_VAR",
-    "numba_available",
-    "numba_enabled",
-    "numba_requested",
     # lazy (see __getattr__): manifest + report API
     "BENCH_SCHEMA",
     "KernelSpec",

@@ -480,15 +480,12 @@ def _git_rev() -> str:
 
 
 def _machine_info() -> Dict[str, Any]:
-    from repro.perf import numba_enabled
-
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count() or 1,
-        "numba_enabled": bool(numba_enabled()),
     }
 
 

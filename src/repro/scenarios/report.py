@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.scenarios.suite import SuiteStore
+from repro.scenarios.matrix import SuiteStore
 
 __all__ = [
     "CellTally",
@@ -275,13 +275,12 @@ def build_report(records: Iterable[Dict[str, Any]]) -> SuiteReport:
 def load_report(store: Union[str, Path, SuiteStore]) -> SuiteReport:
     """Build a report straight from a results store path.
 
-    Structured ``{"failed": true}`` records (cells killed by faults,
-    timeouts, or poison workers) carry no measurements — they are skipped
-    here and resumed as pending by the next run.
+    Structured ``{"failed": true}`` records carry no measurements and are
+    skipped (see :meth:`SuiteStore.results`).
     """
     if not isinstance(store, SuiteStore):
         store = SuiteStore(store)
-    return build_report(r for r in store.load().values() if not r.get("failed"))
+    return build_report(store.results().values())
 
 
 # --------------------------------------------------------------------------- #
@@ -433,8 +432,8 @@ def load_verify_report(store: Union[str, Path, SuiteStore]) -> VerifyReport:
     """Build a verification report straight from a verdict store path.
 
     ``{"failed": true}`` infrastructure-failure records carry no verdicts
-    and are skipped (they resume as pending cells on the next run).
+    and are skipped (see :meth:`SuiteStore.results`).
     """
     if not isinstance(store, SuiteStore):
         store = SuiteStore(store)
-    return build_verify_report(r for r in store.load().values() if not r.get("failed"))
+    return build_verify_report(store.results().values())

@@ -1,47 +1,34 @@
-"""Resumable suite execution on top of the engine's batch runner.
+"""The scenario suite: the (scenario × method) cell matrix.
 
-A *suite* is the matrix of (scenario × method) cells — methods are
-unassisted model names plus the assisted ``"ChatVis"`` loop.  Cells run
-through :func:`repro.engine.batch.run_batch` (threads or worker processes,
-optionally over a shared disk cache) and land in an **append-only JSONL
-results store** keyed by a content-addressed cell key
-(:func:`cell_key` = scenario content digest × method × resolution):
+Methods are unassisted model names plus the assisted ``"ChatVis"`` loop
+(and the generate→critique→repair ``"Review"`` column).
+:class:`SuiteRunner` is the :class:`~repro.scenarios.matrix.MatrixRunner`
+whose cells run :func:`run_suite_cell`; the matrix runner supplies the
+resumable JSONL store, content-addressed :func:`cell_key`, batch execution
+and failure records.  Changing any scenario axis (dataset parameters,
+operation chain, view, phrasing) or the method list changes the affected
+keys and re-runs exactly those cells.
 
-* a run interrupted mid-suite resumes by executing only the missing cells
-  (already-stored keys are skipped; a truncated trailing line from a kill
-  mid-write is ignored and re-run);
-* a warm re-run of a completed suite executes **zero** cells — and since no
-  cell runs, zero pipeline nodes;
-* changing any scenario axis (dataset parameters, operation chain, view,
-  phrasing) or the method list changes the affected keys and re-runs exactly
-  those cells.
-
-Records are appended with sorted keys **as each cell completes** (so an
-aborted run keeps everything already finished).  Serial runs — the default —
-complete in suite order, making two cold runs byte-identical apart from the
-timing fields (``duration``, ``finished_at``); parallel runs may append in
-completion order, which is why readers go through the keyed
-:meth:`SuiteStore.load`, never line positions.
-
-Cells that *fail* (an infrastructure error, not a model error — model
-errors are the measurement and land in the record) are reported on the
-summary but deliberately **not** stored, so the next run retries them.
+Serial runs — the default — complete in suite order, making two cold runs
+byte-identical apart from the timing fields (``duration``, ``finished_at``,
+``metrics``; see :func:`strip_timing`).  A model error (script error,
+missing screenshot) is the measurement and lands in the record; only
+infrastructure errors fail a cell, which is then stored as a structured
+``{"failed": true}`` record and retried by the next run.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.batch import BatchJob, BatchResult, CancelledJob, raise_failures, run_batch
+from repro.engine.batch import BatchJob
 from repro.llm.core.budget import BudgetExceededError, BudgetLedger, RunBudget
 from repro.llm.core.review import REVIEW_METHOD
 from repro.obs.trace import span as obs_span
+from repro.scenarios.matrix import Cell, MatrixRunner, MatrixRunSummary, SuiteStore, cell_key
 from repro.scenarios.spec import Scenario
 
 __all__ = [
@@ -63,28 +50,6 @@ CHATVIS_METHOD = "ChatVis"
 #: checks — "metrics" counts node cache hits, which depend on what previous
 #: cells (or runs) already warmed, not on the cell's result
 TIMING_FIELDS = ("duration", "finished_at", "metrics")
-
-
-def cell_key(
-    scenario: Scenario,
-    method: str,
-    resolution: Optional[Tuple[int, int]],
-    settings: Tuple[Tuple[str, Any], ...] = (),
-) -> str:
-    """Content-addressed identity of one suite cell.
-
-    ``settings`` carries every runner option that shapes the cell's result
-    beyond the scenario and method themselves (data sizing, ChatVis loop
-    configuration), so a store never hands back records produced under a
-    different configuration.
-    """
-    material = (
-        scenario.key(),
-        str(method),
-        tuple(resolution) if resolution else None,
-        tuple(settings),
-    )
-    return hashlib.sha1(repr(material).encode("utf-8")).hexdigest()
 
 
 def strip_timing(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -137,7 +102,16 @@ def run_suite_cell(
     the engine's thread-local stats and the cell's own spend, so reports can
     show cache hit-rates without re-deriving them.
     """
+    from repro.core.assistant import ChatVis, ChatVisConfig
+    from repro.core.error_extraction import classify_error
+    from repro.core.tasks import prepare_task_data
     from repro.engine.blocks import BlocksConfig, blocked_execution, stats_snapshot
+    from repro.eval.harness import run_unassisted, scaled_prompt
+    from repro.llm.core.cache import CompletionCache
+    from repro.llm.core.dispatch import ManagedLLM
+    from repro.llm.core.review import run_review
+    from repro.llm.registry import get_model
+    from repro.pvsim.executor import PvPythonExecutor
     from repro.pvsim.pipeline import pvsim_engine
 
     if blocks:
@@ -152,29 +126,73 @@ def run_suite_cell(
     else:
         block_scope = nullcontext()
 
+    task = scenario.task
+    resolution = tuple(resolution) if resolution else None
+    prompt = scaled_prompt(task, resolution) if resolution else task.user_prompt
+    record: Dict[str, Any] = {
+        "scenario": scenario.name,
+        "spec": scenario.spec_name,
+        "family": scenario.family,
+        "phrasing": scenario.phrasing,
+        "dataset": scenario.dataset,
+        "method": str(method),
+        "resolution": list(resolution or task.resolution),
+        "iterations": 1,
+    }
     stats_before = pvsim_engine().thread_stats().snapshot()
     blocks_before = stats_snapshot()
-    with block_scope:
-        with obs_span(
-            f"{method}/{scenario.name}", "suite.cell", scenario=scenario.name, method=str(method)
-        ):
-            record = _run_suite_cell_impl(
-                scenario,
-                method,
-                cell_dir,
-                resolution=resolution,
-                small_data=small_data,
-                max_iterations=max_iterations,
-                chatvis_model=chatvis_model,
-                budget=budget,
-                ledger=ledger,
-                llm_cache_dir=llm_cache_dir,
-                review_model=review_model,
-                review_rounds=review_rounds,
+    with block_scope, obs_span(
+        f"{method}/{scenario.name}", "suite.cell", scenario=scenario.name, method=str(method)
+    ):
+        prepare_task_data(task, cell_dir, small=small_data)
+        cell_ledger = ledger
+        if cell_ledger is None and budget is not None:
+            cell_ledger = BudgetLedger(budget)
+        cache = CompletionCache(llm_cache_dir) if llm_cache_dir else None
+        model_name = {CHATVIS_METHOD: chatvis_model, REVIEW_METHOD: review_model}.get(method, str(method))
+        llm = ManagedLLM(get_model(model_name), ledger=cell_ledger, cache=cache)
+
+        if method == CHATVIS_METHOD:
+            assistant = ChatVis(
+                llm,
+                working_dir=cell_dir,
+                config=ChatVisConfig(max_iterations=max_iterations),
+            )
+            run = assistant.run(prompt)
+            final_error = run.iterations[-1].error_type if run.iterations else None
+            record.update(
+                error=not run.success,
+                screenshot=bool(run.screenshots),
+                error_category="none" if run.success else "other",
+                error_type=None if run.success else final_error,
+                iterations=run.n_iterations,
+            )
+        else:
+            if method == REVIEW_METHOD:
+                review = run_review(llm, prompt, rounds=review_rounds)
+                execution = PvPythonExecutor(working_dir=cell_dir).run(
+                    review.script, script_name=f"review_{task.name}.py"
+                )
+                record.update(
+                    iterations=1 + review.rounds_used,
+                    review_rounds=review.rounds_used,
+                    review_repaired=review.repaired,
+                    review_stopped=review.stopped,
+                )
+            else:
+                _script, execution = run_unassisted(llm, task, cell_dir, resolution=resolution)
+            record.update(
+                error=not execution.success,
+                screenshot=execution.produced_screenshot,
+                error_category=classify_error(execution.output),
+                error_type=execution.error_type,
             )
         blocks_delta = stats_snapshot().delta(blocks_before)
     stats_delta = pvsim_engine().thread_stats().delta(stats_before)
-    usage = record.get("usage") or {}
+    usage = llm.spend.as_dict()
+    record["model"] = llm.model_name
+    record["usage"] = usage
+    record["cached"] = llm.spend.calls == 0 and llm.spend.cached_calls > 0
     record["metrics"] = {
         "nodes_executed": stats_delta.misses,
         "nodes_cached": stats_delta.hits,
@@ -189,171 +207,13 @@ def run_suite_cell(
     return record
 
 
-def _run_suite_cell_impl(
-    scenario: Scenario,
-    method: str,
-    cell_dir: Union[str, Path],
-    resolution: Optional[Tuple[int, int]] = None,
-    small_data: bool = True,
-    max_iterations: int = 5,
-    chatvis_model: str = "gpt-4",
-    budget: Optional[RunBudget] = None,
-    ledger: Optional[BudgetLedger] = None,
-    llm_cache_dir: Optional[Union[str, Path]] = None,
-    review_model: str = "gpt-4",
-    review_rounds: int = 2,
-) -> Dict[str, Any]:
-    """The body of :func:`run_suite_cell` (split out for span wrapping)."""
-    from repro.core.assistant import ChatVis, ChatVisConfig
-    from repro.core.error_extraction import classify_error
-    from repro.core.tasks import prepare_task_data
-    from repro.eval.harness import run_unassisted, scaled_prompt
-    from repro.llm.core.cache import CompletionCache
-    from repro.llm.core.dispatch import ManagedLLM
-    from repro.llm.core.review import run_review
-    from repro.llm.registry import get_model
-
-    task = scenario.task
-    resolution = tuple(resolution) if resolution else None
-    target_resolution = resolution or tuple(task.resolution)
-    prepare_task_data(task, cell_dir, small=small_data)
-
-    cell_ledger = ledger
-    if cell_ledger is None and budget is not None:
-        cell_ledger = BudgetLedger(budget)
-    cache = CompletionCache(llm_cache_dir) if llm_cache_dir else None
-
-    def _managed(model_name: str) -> ManagedLLM:
-        return ManagedLLM(get_model(model_name), ledger=cell_ledger, cache=cache)
-
-    record: Dict[str, Any] = {
-        "scenario": scenario.name,
-        "spec": scenario.spec_name,
-        "family": scenario.family,
-        "phrasing": scenario.phrasing,
-        "dataset": scenario.dataset,
-        "method": str(method),
-        "resolution": list(target_resolution),
-        "iterations": 1,
-    }
-    if method == CHATVIS_METHOD:
-        llm = _managed(chatvis_model)
-        assistant = ChatVis(
-            llm,
-            working_dir=cell_dir,
-            config=ChatVisConfig(max_iterations=max_iterations),
-        )
-        prompt = scaled_prompt(task, resolution) if resolution else task.user_prompt
-        run = assistant.run(prompt)
-        final_error = run.iterations[-1].error_type if run.iterations else None
-        record.update(
-            error=not run.success,
-            screenshot=bool(run.screenshots),
-            error_category="none" if run.success else "other",
-            error_type=None if run.success else final_error,
-            iterations=run.n_iterations,
-        )
-    elif method == REVIEW_METHOD:
-        from repro.pvsim.executor import PvPythonExecutor
-
-        llm = _managed(review_model)
-        prompt = scaled_prompt(task, resolution) if resolution else task.user_prompt
-        review = run_review(llm, prompt, rounds=review_rounds)
-        execution = PvPythonExecutor(working_dir=cell_dir).run(
-            review.script, script_name=f"review_{task.name}.py"
-        )
-        record.update(
-            error=not execution.success,
-            screenshot=execution.produced_screenshot,
-            error_category=classify_error(execution.output),
-            error_type=execution.error_type,
-            iterations=1 + review.rounds_used,
-            review_rounds=review.rounds_used,
-            review_repaired=review.repaired,
-            review_stopped=review.stopped,
-        )
-    else:
-        llm = _managed(str(method))
-        _script, execution = run_unassisted(llm, task, cell_dir, resolution=resolution)
-        record.update(
-            error=not execution.success,
-            screenshot=execution.produced_screenshot,
-            error_category=classify_error(execution.output),
-            error_type=execution.error_type,
-        )
-    record["model"] = llm.model_name
-    record["usage"] = llm.spend.as_dict()
-    record["cached"] = llm.spend.calls == 0 and llm.spend.cached_calls > 0
-    return record
-
-
-# --------------------------------------------------------------------------- #
-# the JSONL store
-# --------------------------------------------------------------------------- #
-class SuiteStore:
-    """Append-only JSONL store of cell records, keyed by content-addressed key.
-
-    Loading tolerates a truncated trailing line (the signature of a process
-    killed mid-append): the broken line is skipped, so the interrupted cell
-    simply runs again.  Duplicate keys keep the latest record.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        records: Dict[str, Dict[str, Any]] = {}
-        if not self.path.exists():
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated by an interrupted writer — re-run it
-                key = record.get("key")
-                if key:
-                    records[key] = record
-        return records
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+b") as handle:
-            # a previous writer killed mid-append leaves a torn trailing line;
-            # terminate it so the new record is not merged into the corruption
-            if handle.seek(0, 2) > 0:
-                handle.seek(-1, 2)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
-            handle.flush()
-
-    def clear(self) -> None:
-        if self.path.exists():
-            self.path.unlink()
-
-    def __len__(self) -> int:
-        return len(self.load())
-
-
 # --------------------------------------------------------------------------- #
 # the runner
 # --------------------------------------------------------------------------- #
 @dataclass
-class SuiteRunSummary:
+class SuiteRunSummary(MatrixRunSummary):
     """Outcome of one :meth:`SuiteRunner.run` call."""
 
-    total: int
-    executed: int
-    skipped: int
-    #: full matrix records in suite order (stored + freshly executed)
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    #: (job name, repr(error)) for cells that failed and were not stored
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    store_path: Optional[Path] = None
     #: aggregate LLM spend of the freshly-executed cells (``Spend.as_dict``)
     spend: Optional[Dict[str, Any]] = None
     #: per-model LLM spend of the freshly-executed cells
@@ -381,79 +241,50 @@ class SuiteRunSummary:
         return text
 
 
-class SuiteRunner:
+class SuiteRunner(MatrixRunner):
     """Run a scenario × method matrix, resumably.
 
-    Parameters mirror ``run_table_two``: ``executor``/``max_workers`` select
-    the batch substrate, ``cache_dir`` the shared disk-cache root for
-    process workers.  ``store`` (a path or :class:`SuiteStore`) enables the
-    resumable JSONL results store; without it every call executes the full
-    matrix (the Table II path).  ``job_timeout``/``job_retries`` bound each
-    cell attempt and grant retryable failures bounded re-attempts (see
-    :func:`~repro.engine.batch.run_batch`); a cell that still fails is
-    appended to the store as a structured ``{"failed": true}`` record — the
-    run completes, the failure is reported in the summary, and the cell
-    resumes as pending on the next run.
+    Parameters mirror ``run_table_two``; ``options`` are the execution and
+    store options of :class:`~repro.scenarios.matrix.MatrixRunner`.  Without
+    a ``store`` every call executes the full matrix (the Table II path).
     """
+
+    phase = "suite.run"
+    summary_class = SuiteRunSummary
 
     def __init__(
         self,
         scenarios: Sequence[Scenario],
         methods: Sequence[str] = ("gpt-4",),
-        working_dir: Union[str, Path] = ".",
-        store: Optional[Union[str, Path, SuiteStore]] = None,
-        resolution: Optional[Tuple[int, int]] = None,
-        small_data: bool = True,
+        *,
         max_iterations: int = 5,
         chatvis_model: str = "gpt-4",
-        max_workers: int = 1,
-        executor: str = "thread",
-        cache_dir: Optional[Union[str, Path]] = None,
-        stop_on_error: bool = False,
         budget: Optional[RunBudget] = None,
         llm_cache_dir: Optional[Union[str, Path]] = None,
         review_model: str = "gpt-4",
         review_rounds: int = 2,
-        job_timeout: Optional[float] = None,
-        job_retries: int = 0,
         blocks: Optional[int] = None,
         ghost: int = 1,
+        **options: Any,
     ) -> None:
-        self.scenarios = list(scenarios)
-        # job names (and the store's per-cell identity mapping) key on the
-        # scenario name, so a suite must not contain two scenarios that share
-        # one name but differ in content
-        names = [s.name for s in self.scenarios]
-        if len(set(names)) != len(names):
-            duplicates = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate scenario names in suite: {duplicates}")
+        super().__init__(scenarios, **options)
         self.methods = [str(m) for m in methods]
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"duplicate methods in suite: {self.methods}")
-        self.working_dir = Path(working_dir)
-        if store is None or isinstance(store, SuiteStore):
-            self.store = store
-        else:
-            self.store = SuiteStore(store)
-        self.resolution = tuple(resolution) if resolution else None
-        self.small_data = small_data
         self.max_iterations = max_iterations
         self.chatvis_model = chatvis_model
-        self.max_workers = max_workers
-        self.executor = executor
-        self.cache_dir = cache_dir
-        self.stop_on_error = stop_on_error
         self.budget = budget
         self.llm_cache_dir = Path(llm_cache_dir) if llm_cache_dir is not None else None
         self.review_model = review_model
         self.review_rounds = review_rounds
-        self.job_timeout = job_timeout
-        self.job_retries = job_retries
         # block decomposition is an execution strategy, not a measurement
         # setting: it stays out of _cell_settings so stored records remain
         # byte-identical between whole and blocked runs
         self.blocks = int(blocks) if blocks else None
         self.ghost = int(ghost)
+        #: the run-wide budget ledger of the current :meth:`run` (None for
+        #: process workers, which enforce the budget per cell)
+        self._ledger: Optional[BudgetLedger] = None
 
     # ------------------------------------------------------------------ #
     def _cell_settings(self, method: str) -> Tuple[Tuple[str, Any], ...]:
@@ -472,7 +303,7 @@ class SuiteRunner:
             settings.append(("review_rounds", self.review_rounds))
         return tuple(settings)
 
-    def cells(self) -> List[Tuple[Scenario, str, str]]:
+    def cells(self) -> List[Cell]:
         """The full (scenario, method, key) matrix in deterministic order."""
         return [
             (scenario, method, cell_key(scenario, method, self.resolution, self._cell_settings(method)))
@@ -480,28 +311,30 @@ class SuiteRunner:
             for method in self.methods
         ]
 
-    def pending(
-        self,
-        existing: Dict[str, Dict[str, Any]],
-        cells: Optional[List[Tuple[Scenario, str, str]]] = None,
-    ) -> List[Tuple[Scenario, str, str]]:
-        """The cells whose keys are not yet in the loaded store records."""
-        if cells is None:
-            cells = self.cells()
-        return [cell for cell in cells if cell[2] not in existing]
-
-    def _cell_dir(self, scenario: Scenario, method: str) -> Path:
-        method_slug = str(method).replace(":", "_").replace("/", "_").lower()
-        return self.working_dir / scenario.name / method_slug
+    def _job(self, name: str, scenario: Scenario, method: str) -> BatchJob:
+        return BatchJob(
+            name=name,
+            fn=run_suite_cell,
+            args=(scenario, method, self._cell_dir(scenario, method)),
+            kwargs={
+                "resolution": self.resolution,
+                "small_data": self.small_data,
+                "max_iterations": self.max_iterations,
+                "chatvis_model": self.chatvis_model,
+                "budget": self.budget if self._ledger is None else None,
+                "ledger": self._ledger,
+                "llm_cache_dir": str(self.llm_cache_dir) if self.llm_cache_dir else None,
+                "review_model": self.review_model,
+                "review_rounds": self.review_rounds,
+                "blocks": self.blocks,
+                "ghost": self.ghost,
+                "block_workers": self.max_workers,
+            },
+        )
 
     # ------------------------------------------------------------------ #
     def run(self, resume: bool = True) -> SuiteRunSummary:
         """Execute the matrix; with a store, only the cells not yet in it.
-
-        Completed cells are appended to the store *as they finish* (on the
-        calling thread, in completion order — records are keyed, so readers
-        are order-independent), which is what makes an aborted run — a
-        Ctrl-C, a crash, a kill — resumable at per-cell granularity.
 
         With a ``budget``, in-process executors share one
         :class:`~repro.llm.core.budget.BudgetLedger` across every cell (a
@@ -511,118 +344,20 @@ class SuiteRunner:
         :class:`~repro.llm.core.budget.BudgetExceededError` — cells already
         finished stay in the store, so a raised budget resumes the run.
         """
-        loaded = self.store.load() if (self.store is not None and resume) else {}
-        # structured failure records mark cells that died last run (a fault,
-        # a timeout, a poison worker): they resume as *pending*, never as done
-        existing = {key: record for key, record in loaded.items() if not record.get("failed")}
-        cells = self.cells()
-        pending = self.pending(existing, cells)
-        key_of_job = {f"{method}/{scenario.name}": key for scenario, method, key in pending}
-
         # process workers cannot share the lock-bearing ledger: give them the
         # budget spec (per-cell ceiling) and aggregate totals afterwards
-        shared_ledger = BudgetLedger(self.budget) if self.executor != "process" else None
-
-        fresh: Dict[str, Dict[str, Any]] = {}
-
-        def _persist(outcome: BatchResult) -> None:
-            if outcome.error is not None:
-                # cancelled cells were never attempted, and a tripped budget
-                # re-raises below — neither is a cell-level failure worth a
-                # store record; everything else is recorded so the run's
-                # damage is inspectable (and resumable) after completion
-                if isinstance(outcome.error, (CancelledJob, BudgetExceededError)):
-                    return
-                record = {
-                    "key": key_of_job[outcome.name],
-                    "job": outcome.name,
-                    "failed": True,
-                    "error_type": type(outcome.error).__name__,
-                    "error": str(outcome.error)[:500],
-                    "finished_at": time.time(),
-                }
-                if self.store is not None:
-                    self.store.append(record)
-                return
-            record = dict(outcome.value)
-            record["key"] = key_of_job[outcome.name]
-            record["duration"] = outcome.duration
-            record["finished_at"] = time.time()
-            fresh[record["key"]] = record
-            if self.store is not None:
-                self.store.append(record)
-
-        jobs = [
-            BatchJob(
-                name=f"{method}/{scenario.name}",
-                fn=run_suite_cell,
-                args=(scenario, method, self._cell_dir(scenario, method)),
-                kwargs={
-                    "resolution": self.resolution,
-                    "small_data": self.small_data,
-                    "max_iterations": self.max_iterations,
-                    "chatvis_model": self.chatvis_model,
-                    "budget": self.budget if shared_ledger is None else None,
-                    "ledger": shared_ledger,
-                    "llm_cache_dir": str(self.llm_cache_dir) if self.llm_cache_dir else None,
-                    "review_model": self.review_model,
-                    "review_rounds": self.review_rounds,
-                    "blocks": self.blocks,
-                    "ghost": self.ghost,
-                    "block_workers": self.max_workers,
-                },
-            )
-            for scenario, method, _key in pending
-        ]
-        with obs_span(
-            "suite.run", "phase", executor=self.executor, pending=len(pending), total=len(cells)
-        ):
-            outcomes: List[BatchResult] = run_batch(
-                jobs,
-                max_workers=self.max_workers,
-                stop_on_error=self.stop_on_error,
-                executor=self.executor,
-                cache_dir=self.cache_dir,
-                on_result=_persist,
-                job_timeout=self.job_timeout,
-                job_retries=self.job_retries,
-            )
-
-        # a tripped budget outranks generic failure reporting: surface it typed
-        for outcome in outcomes:
-            if isinstance(outcome.error, BudgetExceededError):
-                raise outcome.error
-        if self.stop_on_error:
-            raise_failures(outcomes)  # BatchJobError names the failing cell
-
-        spend_ledger = shared_ledger
-        if spend_ledger is None:
-            spend_ledger = BudgetLedger(self.budget)
-            for record in fresh.values():
+        self._ledger = BudgetLedger(self.budget) if self.executor != "process" else None
+        summary = super().run(resume)
+        ledger = self._ledger
+        if ledger is None:
+            ledger = BudgetLedger(self.budget)
+            for record in summary.executed_records():
                 if record.get("usage"):
-                    spend_ledger.merge_record(record.get("model", record["method"]), record["usage"])
-            spend_ledger.check_total()  # run-level budget over aggregated worker spend
-
-        failures: List[Tuple[str, str]] = [
-            (outcome.name, f"{type(outcome.error).__name__}: {outcome.error}")
-            for outcome in outcomes
-            if outcome.error is not None
-        ]
-        records = [
-            existing.get(key) or fresh[key]
-            for _scenario, _method, key in cells
-            if key in existing or key in fresh
-        ]
-        return SuiteRunSummary(
-            total=len(cells),
-            executed=len(fresh),
-            skipped=len(cells) - len(pending),
-            records=records,
-            failures=failures,
-            store_path=self.store.path if self.store is not None else None,
-            spend=spend_ledger.spend().as_dict(),
-            per_model_spend={m: s.as_dict() for m, s in spend_ledger.per_model().items()},
-        )
+                    ledger.merge_record(record.get("model", record["method"]), record["usage"])
+            ledger.check_total()  # run-level budget over aggregated worker spend
+        summary.spend = ledger.spend().as_dict()
+        summary.per_model_spend = {m: s.as_dict() for m, s in ledger.per_model().items()}
+        return summary
 
     # ------------------------------------------------------------------ #
     def prefetch(self, max_concurrency: int = 4) -> Dict[str, int]:
@@ -648,7 +383,7 @@ class SuiteRunner:
         if self.llm_cache_dir is None:
             raise ValueError("prefetch requires llm_cache_dir (there is no cache to warm)")
 
-        existing = self.store.load() if self.store is not None else {}
+        existing = self.store.results() if self.store is not None else {}
         cache = CompletionCache(self.llm_cache_dir)
         ledger = BudgetLedger(self.budget)
 

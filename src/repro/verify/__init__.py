@@ -8,9 +8,10 @@ substrate itself:
   (``@register_relation``): camera orbits, resolution rescaling, affine
   input transforms that must commute with contour/slice/clip/threshold,
   filter reorderings, and cache/determinism differential checks;
-* :mod:`~repro.verify.runner` — executes the scenario × relation matrix on
-  :mod:`repro.engine.batch` with a resumable JSONL verdict store, reusing
-  the shared tiered cache so variant pairs compute shared prefixes once;
+* :mod:`~repro.verify.runner` — the scenario × relation matrix, run by the
+  shared :class:`~repro.scenarios.matrix.MatrixRunner` (resumable JSONL
+  verdict store), reusing the shared tiered cache so variant pairs compute
+  shared prefixes once;
 * :mod:`~repro.verify.goldens` — a content-addressed golden-artifact store
   (NPZ screenshots + canonical scripts) with tolerance-aware comparators,
   catching the symmetric regressions pairwise relations cannot see;

@@ -1,35 +1,31 @@
 """The differential oracle runner.
 
-Executes the scenario × relation matrix through
-:func:`repro.engine.batch.run_batch` (threads or worker processes), streams
-verdict records into the suite's resumable JSONL store format
-(:class:`repro.scenarios.suite.SuiteStore`), and totals the pipeline nodes
-each cell executed vs. got from the tiered cache.  Because every relation
-routes its pipeline work through the shared engine cache, variant pairs —
-and different relations over the same scenario — compute shared prefixes
-once, and a warm re-run against a persistent disk tier executes strictly
-fewer pipeline nodes than the cold run (the property the acceptance test
-pins).
+:class:`VerifyRunner` is the :class:`~repro.scenarios.matrix.MatrixRunner`
+of the scenario × relation matrix: verdict records stream into the same
+resumable JSONL store (:class:`~repro.scenarios.matrix.SuiteStore`) as the
+suite's, and the summary totals the pipeline nodes each executed cell ran
+vs. got from the tiered cache.  Because every relation routes its pipeline
+work through the shared engine cache, variant pairs — and different
+relations over the same scenario — compute shared prefixes once, and a warm
+re-run against a persistent disk tier executes strictly fewer pipeline
+nodes than the cold run (the property the acceptance test pins).
 
 Verdict records are *results*, violations included — a violated relation is
 the measurement, not an infrastructure failure, so it lands in the store and
 is not retried.  Only genuinely broken cells (an exception escaping the
-check) surface as failures and re-run next time, mirroring the suite
-runner's contract.
+check) surface as failures: stored as ``{"failed": true}`` records and
+re-run next time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.batch import BatchJob, BatchResult, CancelledJob, raise_failures, run_batch
+from repro.engine.batch import BatchJob
 from repro.obs.trace import span as obs_span
+from repro.scenarios.matrix import Cell, MatrixRunner, MatrixRunSummary, cell_key
 from repro.scenarios.spec import Scenario
-from repro.scenarios.suite import SuiteStore
 from repro.verify.relations import (
     RelationContext,
     get_relation,
@@ -49,20 +45,8 @@ __all__ = [
 DEFAULT_VERIFY_RESOLUTION: Tuple[int, int] = (192, 144)
 
 
-def verify_cell_key(
-    scenario: Scenario,
-    relation: str,
-    resolution: Optional[Tuple[int, int]],
-    settings: Tuple[Tuple[str, Any], ...] = (),
-) -> str:
-    """Content-addressed identity of one (scenario, relation) verdict cell."""
-    material = (
-        scenario.key(),
-        str(relation),
-        tuple(resolution) if resolution else None,
-        tuple(settings),
-    )
-    return hashlib.sha1(repr(material).encode("utf-8")).hexdigest()
+#: content-addressed identity of one (scenario, relation) verdict cell
+verify_cell_key = cell_key
 
 
 # --------------------------------------------------------------------------- #
@@ -132,16 +116,8 @@ def run_verify_cell(
 # --------------------------------------------------------------------------- #
 # the runner
 # --------------------------------------------------------------------------- #
-@dataclass
-class VerifyRunSummary:
+class VerifyRunSummary(MatrixRunSummary):
     """Outcome of one :meth:`VerifyRunner.run` call."""
-
-    total: int
-    executed: int
-    skipped: int
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    store_path: Optional[Path] = None
 
     @property
     def violations(self) -> List[Dict[str, Any]]:
@@ -150,11 +126,11 @@ class VerifyRunSummary:
     @property
     def nodes_executed(self) -> int:
         """Pipeline nodes executed by the cells run in *this* call."""
-        return sum(r.get("nodes_executed", 0) for r in self.records if r.get("_fresh"))
+        return sum(r.get("nodes_executed", 0) for r in self.executed_records())
 
     @property
     def nodes_cached(self) -> int:
-        return sum(r.get("nodes_cached", 0) for r in self.records if r.get("_fresh"))
+        return sum(r.get("nodes_cached", 0) for r in self.executed_records())
 
     @property
     def clean(self) -> bool:
@@ -171,54 +147,34 @@ class VerifyRunSummary:
         return text
 
 
-class VerifyRunner:
+class VerifyRunner(MatrixRunner):
     """Run the scenario × relation matrix, resumably.
 
     ``relations=None`` lets every scenario select its applicable relations
     (its spec's ``relations`` axis when set, otherwise the registry's
     ``applies`` predicates); an explicit list restricts the matrix to those
-    names for every scenario they apply to.
+    names for every scenario they apply to.  ``options`` are the execution
+    and store options of :class:`~repro.scenarios.matrix.MatrixRunner`.
     """
+
+    phase = "verify.run"
+    summary_class = VerifyRunSummary
 
     def __init__(
         self,
         scenarios: Sequence[Scenario],
         relations: Optional[Sequence[str]] = None,
-        working_dir: Union[str, Path] = ".",
-        store: Optional[Union[str, Path, SuiteStore]] = None,
+        *,
         resolution: Optional[Tuple[int, int]] = DEFAULT_VERIFY_RESOLUTION,
-        small_data: bool = True,
         goldens_dir: Optional[Union[str, Path]] = None,
-        max_workers: int = 1,
-        executor: str = "thread",
-        cache_dir: Optional[Union[str, Path]] = None,
-        stop_on_error: bool = False,
-        job_timeout: Optional[float] = None,
-        job_retries: int = 0,
+        **options: Any,
     ) -> None:
-        self.scenarios = list(scenarios)
-        names = [s.name for s in self.scenarios]
-        if len(set(names)) != len(names):
-            duplicates = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate scenario names in verification run: {duplicates}")
+        super().__init__(scenarios, resolution=resolution, **options)
         if relations is not None:
             for name in relations:
                 get_relation(name)  # fail fast on unknown names
         self.relations = list(relations) if relations is not None else None
-        self.working_dir = Path(working_dir)
-        if store is None or isinstance(store, SuiteStore):
-            self.store = store
-        else:
-            self.store = SuiteStore(store)
-        self.resolution = tuple(resolution) if resolution else None
-        self.small_data = small_data
         self.goldens_dir = Path(goldens_dir) if goldens_dir else None
-        self.max_workers = max_workers
-        self.executor = executor
-        self.cache_dir = cache_dir
-        self.stop_on_error = stop_on_error
-        self.job_timeout = job_timeout
-        self.job_retries = job_retries
 
     # ------------------------------------------------------------------ #
     def _relations_of(self, scenario: Scenario) -> List[str]:
@@ -242,7 +198,7 @@ class VerifyRunner:
             )
         return tuple(settings)
 
-    def cells(self) -> List[Tuple[Scenario, str, str]]:
+    def cells(self) -> List[Cell]:
         """The (scenario, relation, key) matrix in deterministic order."""
         return [
             (
@@ -256,96 +212,16 @@ class VerifyRunner:
             for relation in self._relations_of(scenario)
         ]
 
-    def _cell_dir(self, scenario: Scenario, relation: str) -> Path:
-        return self.working_dir / scenario.name / relation
-
-    # ------------------------------------------------------------------ #
-    def run(self, resume: bool = True) -> VerifyRunSummary:
-        """Execute the matrix; with a store, only the cells not yet in it."""
-        loaded = self.store.load() if (self.store is not None and resume) else {}
-        # cells that died last run (fault, timeout, poison worker) left
-        # structured failure records: they resume as pending, never as done
-        existing = {key: record for key, record in loaded.items() if not record.get("failed")}
-        cells = self.cells()
-        pending = [cell for cell in cells if cell[2] not in existing]
-        key_of_job = {f"{relation}/{scenario.name}": key for scenario, relation, key in pending}
-
-        fresh: Dict[str, Dict[str, Any]] = {}
-
-        def _persist(outcome: BatchResult) -> None:
-            if outcome.error is not None:
-                # infrastructure-level failure (not a verdict): record it so
-                # the run's damage is inspectable and the cell resumes pending
-                if isinstance(outcome.error, CancelledJob):
-                    return
-                record = {
-                    "key": key_of_job[outcome.name],
-                    "job": outcome.name,
-                    "failed": True,
-                    "error_type": type(outcome.error).__name__,
-                    "error": str(outcome.error)[:500],
-                    "finished_at": time.time(),
-                }
-                if self.store is not None:
-                    self.store.append(record)
-                return
-            record = dict(outcome.value)
-            record["key"] = key_of_job[outcome.name]
-            record["duration"] = outcome.duration
-            record["finished_at"] = time.time()
-            fresh[record["key"]] = record
-            if self.store is not None:
-                self.store.append(record)
-
-        jobs = [
-            BatchJob(
-                name=f"{relation}/{scenario.name}",
-                fn=run_verify_cell,
-                args=(scenario, relation, self._cell_dir(scenario, relation)),
-                kwargs={
-                    "resolution": self.resolution,
-                    "small_data": self.small_data,
-                    "goldens_dir": str(self.goldens_dir) if self.goldens_dir else None,
-                },
-            )
-            for scenario, relation, _key in pending
-        ]
-        with obs_span(
-            "verify.run", "phase", executor=self.executor, pending=len(pending), total=len(cells)
-        ):
-            outcomes = run_batch(
-                jobs,
-                max_workers=self.max_workers,
-                stop_on_error=self.stop_on_error,
-                executor=self.executor,
-                cache_dir=self.cache_dir,
-                on_result=_persist,
-                job_timeout=self.job_timeout,
-                job_retries=self.job_retries,
-            )
-        if self.stop_on_error:
-            raise_failures(outcomes)
-
-        failures = [
-            (outcome.name, f"{type(outcome.error).__name__}: {outcome.error}")
-            for outcome in outcomes
-            if outcome.error is not None
-        ]
-        records: List[Dict[str, Any]] = []
-        for _scenario, _relation, key in cells:
-            if key in fresh:
-                record = dict(fresh[key])
-                record["_fresh"] = True
-                records.append(record)
-            elif key in existing:
-                records.append(existing[key])
-        return VerifyRunSummary(
-            total=len(cells),
-            executed=len(fresh),
-            skipped=len(cells) - len(pending),
-            records=records,
-            failures=failures,
-            store_path=self.store.path if self.store is not None else None,
+    def _job(self, name: str, scenario: Scenario, relation: str) -> BatchJob:
+        return BatchJob(
+            name=name,
+            fn=run_verify_cell,
+            args=(scenario, relation, self._cell_dir(scenario, relation)),
+            kwargs={
+                "resolution": self.resolution,
+                "small_data": self.small_data,
+                "goldens_dir": str(self.goldens_dir) if self.goldens_dir else None,
+            },
         )
 
     # ------------------------------------------------------------------ #

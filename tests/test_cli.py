@@ -5,12 +5,13 @@ runner); these tests drive ``repro.cli.main`` in-process and assert on its
 output and on the cache state it leaves behind.
 """
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import default_cache_dir, main, resolve_cache_dir
+from repro.cli import build_parser, default_cache_dir, main, resolve_cache_dir
 from repro.engine import configure_shared_cache
 from repro.engine.cache import CACHE_DIR_ENV_VAR
 from repro.pvsim import state
@@ -24,6 +25,78 @@ def _isolated(monkeypatch):
     yield
     state.reset_session()
     configure_shared_cache(None)
+
+
+#: every (sub)command's option strings and positionals — adding, removing or
+#: renaming a flag must be a deliberate edit here, never a refactoring side effect
+PARSER_SURFACE = {
+    "": ["--help", "--log-level", "-h"],
+    "bench": ["--cache-dir", "--help", "--json", "--trace", "-h"],
+    "bench manifest": [
+        "--compare", "--help", "--kernel", "--no-cache", "--no-suite", "--output", "--rounds", "-h",
+    ],
+    "cache": ["--help", "-h"],
+    "cache clear": ["--cache-dir", "--help", "-h"],
+    "cache stats": ["--cache-dir", "--help", "--no-kinds", "-h"],
+    "eval": [
+        "--budget", "--cache-dir", "--executor", "--help", "--llm-cache", "--max-iterations",
+        "--max-workers", "--models", "--no-cache", "--no-chatvis", "--no-llm-cache",
+        "--resolution", "--review", "--review-rounds", "--tasks", "--trace", "-h", "working_dir",
+    ],
+    "llm": ["--help", "-h"],
+    "llm stats": ["--cache-dir", "--help", "--llm-cache", "--results", "-h"],
+    "obs": ["--help", "-h"],
+    "obs export": ["--help", "-h", "output", "trace_file"],
+    "obs summary": ["--help", "--json", "--top", "-h", "trace_file"],
+    "obs top": ["--category", "--count", "--help", "-h", "-n", "trace_file"],
+    "suite": ["--help", "-h"],
+    "suite diff": ["--help", "-h", "left", "right"],
+    "suite list": [
+        "--canonical", "--family", "--help", "--json", "--limit", "--phrasing", "--spec", "-h",
+    ],
+    "suite report": ["--help", "--json", "--markdown", "-h", "results"],
+    "suite run": [
+        "--blocks", "--budget", "--cache-dir", "--canonical", "--chatvis", "--executor",
+        "--family", "--faults", "--fresh", "--ghost", "--help", "--job-retries", "--job-timeout",
+        "--limit", "--llm-cache", "--max-workers", "--models", "--no-cache", "--no-llm-cache",
+        "--phrasing", "--prefetch", "--report", "--report-json", "--resolution", "--results",
+        "--review", "--review-rounds", "--spec", "--trace", "-h", "working_dir",
+    ],
+    "verify": ["--help", "-h"],
+    "verify relations": ["--help", "-h"],
+    "verify report": ["--help", "--json", "--markdown", "-h", "results"],
+    "verify run": [
+        "--cache-dir", "--canonical", "--executor", "--family", "--faults", "--fresh",
+        "--goldens", "--help", "--job-retries", "--job-timeout", "--limit", "--max-workers",
+        "--no-cache", "--phrasing", "--relations", "--report", "--report-json", "--resolution",
+        "--results", "--spec", "--trace", "-h", "working_dir",
+    ],
+    "verify update-goldens": [
+        "--cache-dir", "--canonical", "--executor", "--family", "--goldens", "--help", "--limit",
+        "--max-workers", "--no-cache", "--phrasing", "--relations", "--resolution", "--spec",
+        "-h", "working_dir",
+    ],
+}
+
+
+def _parser_surface(parser, prefix=()):
+    """``{"suite run": sorted option strings + positional dests, ...}``."""
+    surface = {}
+    options = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(_parser_surface(sub, prefix + (name,)))
+        elif action.option_strings:
+            options.extend(action.option_strings)
+        else:
+            options.append(action.dest)
+    surface[" ".join(prefix)] = sorted(options)
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    assert _parser_surface(build_parser()) == PARSER_SURFACE
 
 
 class TestCacheDirResolution:

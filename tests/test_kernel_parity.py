@@ -273,25 +273,3 @@ class TestTransferFunctionParity:
         after = ctf.map_scalars(np.array([0.5]))[0]
         assert not np.array_equal(before, after)
 
-
-class TestNumbaGate:
-    def test_disabled_by_default(self, monkeypatch):
-        from repro.perf import accel
-
-        monkeypatch.delenv(accel.NUMBA_ENV_VAR, raising=False)
-        assert not accel.numba_requested()
-        assert not accel.numba_enabled()
-        assert accel.trilinear_gather_lerp_kernel() is None
-
-    def test_requested_but_unavailable_falls_back(self, monkeypatch, ml20):
-        from repro.perf import accel
-
-        monkeypatch.setenv(accel.NUMBA_ENV_VAR, "1")
-        assert accel.numba_requested()
-        if accel.numba_available():  # pragma: no cover - numba not in CI image
-            pytest.skip("numba installed; fallback path not reachable")
-        assert not accel.numba_enabled()
-        # the sampler still answers through the NumPy path
-        pts = np.array([[0.0, 0.0, 0.0]])
-        out = TrilinearSampler(ml20, "var0")(pts)
-        assert np.isfinite(out).all()

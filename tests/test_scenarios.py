@@ -287,26 +287,6 @@ class TestSuiteRunner:
         resumed = _small_suite(work_dir).run()
         assert resumed.executed == 2 and resumed.skipped == 2
 
-    def test_infrastructure_failures_are_reported_not_stored(self, work_dir, monkeypatch):
-        from repro.scenarios import suite as suite_module
-
-        real_cell = suite_module.run_suite_cell
-
-        def broken_cell(scenario, method, cell_dir, **kwargs):
-            if scenario.name.endswith("v0p3-polite"):
-                raise RuntimeError("disk full")
-            return real_cell(scenario, method, cell_dir, **kwargs)
-
-        monkeypatch.setattr(suite_module, "run_suite_cell", broken_cell)
-        summary = _small_suite(work_dir).run()
-        assert len(summary.failures) == 1
-        assert "disk full" in summary.failures[0][1]
-        assert not summary.warm  # a failing run is never reported as warm
-        # failed cells are not persisted, so the next run retries exactly them
-        monkeypatch.setattr(suite_module, "run_suite_cell", real_cell)
-        retried = _small_suite(work_dir).run()
-        assert retried.executed == 1 and not retried.failures
-
     def test_process_executor_matches_serial(self, tmp_path):
         scenarios = generate_scenarios(limit=3)
         serial = SuiteRunner(
@@ -340,6 +320,65 @@ class TestSuiteRunner:
         assert chatvis["iterations"] >= 1
         assert weak["method"] == "codegemma"
         assert weak["error"] and not weak["screenshot"]
+
+
+class TestMatrixRunner:
+    """Contracts both matrix runners (suite and verification) share."""
+
+    @pytest.mark.parametrize("kind", ["suite", "verify"])
+    def test_failed_cells_are_stored_and_retried(self, kind, work_dir, monkeypatch):
+        if kind == "suite":
+            from repro.scenarios import suite as module
+
+            cell_fn = "run_suite_cell"
+
+            def make_runner():
+                return _small_suite(work_dir)
+
+        else:
+            from repro.verify import VerifyRunner
+            from repro.verify import runner as module
+
+            cell_fn = "run_verify_cell"
+            iso = [s for s in canonical_scenarios() if s.name == "isosurface"]
+
+            def make_runner():
+                return VerifyRunner(
+                    iso,
+                    relations=["repeat-determinism", "translate-commute"],
+                    working_dir=work_dir / "work",
+                    store=work_dir / "results.jsonl",
+                    resolution=(96, 72),
+                )
+
+        real_cell = getattr(module, cell_fn)
+        victim_scenario, victim_column, victim_key = make_runner().cells()[-1]
+
+        def broken_cell(scenario, column, cell_dir, **kwargs):
+            if (scenario.name, column) == (victim_scenario.name, victim_column):
+                raise RuntimeError("disk full")
+            return real_cell(scenario, column, cell_dir, **kwargs)
+
+        monkeypatch.setattr(module, cell_fn, broken_cell)
+        summary = make_runner().run()
+        assert len(summary.failures) == 1
+        assert summary.failures[0][0] == f"{victim_column}/{victim_scenario.name}"
+        assert "disk full" in summary.failures[0][1]
+        assert summary.executed == summary.total - 1
+        assert victim_key not in {r["key"] for r in summary.records}
+        # a failing run is never reported as warm / clean
+        assert not (summary.warm if kind == "suite" else summary.clean)
+        # the failure is stored as a structured record ...
+        stored = SuiteStore(work_dir / "results.jsonl").load()
+        assert stored[victim_key]["failed"] is True
+        assert stored[victim_key]["error_type"] == "RuntimeError"
+
+        # ... and the next run retries exactly that cell
+        monkeypatch.setattr(module, cell_fn, real_cell)
+        retried = make_runner().run()
+        assert retried.executed == 1 and retried.skipped == retried.total - 1
+        assert not retried.failures
+        assert not SuiteStore(work_dir / "results.jsonl").load()[victim_key].get("failed")
 
 
 # --------------------------------------------------------------------------- #
