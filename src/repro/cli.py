@@ -11,8 +11,9 @@ One front door for the things people (and CI) run:
   ``run`` the scenario × relation matrix (resumable JSONL verdict store),
   ``report`` the relation × family verification matrix, ``update-goldens``
   to (re)capture the golden artifacts, ``relations`` to list the registry;
-* ``repro bench`` — a cold-vs-warm micro-benchmark of the tiered cache on a
-  representative pipeline, with optional JSON output for CI artifacts;
+* ``repro bench manifest`` — the kernel manifest: each substrate kernel
+  timed against its pinned ``_*_loop`` reference, written as
+  ``BENCH_<n>.json`` (the end-to-end benchmark is ``e2ebench/run.py``);
 * ``repro llm``  — the LLM dispatch layer: ``stats`` shows the completion
   cache footprint, the simulated pricing table, and (with ``--results``)
   per-model spend recorded in a suite store;
@@ -23,11 +24,10 @@ One front door for the things people (and CI) run:
   spans), ``top`` lists the N slowest spans, ``export`` converts to the
   Chrome trace-event format for Perfetto.
 
-``repro eval``, ``repro suite run``, ``repro verify run``, and ``repro
-bench`` accept ``--trace PATH`` to record a JSONL trace of the run (spans
-from every layer plus a final metrics snapshot); the top-level
-``--log-level`` flag configures the ``repro`` logger hierarchy
-(:func:`repro.obs.logging_setup`).
+``repro eval``, ``repro suite run`` and ``repro verify run`` accept
+``--trace PATH`` to record a JSONL trace of the run (spans from every layer
+plus a final metrics snapshot); the top-level ``--log-level`` flag
+configures the ``repro`` logger hierarchy (:func:`repro.obs.logging_setup`).
 
 ``repro eval`` and ``repro suite run`` accept ``--budget
 tokens=...,calls=...,cost=...`` (enforced at dispatch time — a trip exits
@@ -60,7 +60,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.cache import CACHE_DIR_ENV_VAR, DiskCache, ResultCache, TieredCache
+from repro.engine.cache import CACHE_DIR_ENV_VAR, DiskCache
 
 __all__ = ["main", "build_parser", "default_cache_dir", "resolve_cache_dir"]
 
@@ -512,52 +512,6 @@ def _cmd_verify_relations(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # repro bench
 # --------------------------------------------------------------------------- #
-def _bench_pipeline(cache: TieredCache):
-    from repro.engine import Engine, Pipeline
-
-    engine = Engine(cache=cache)
-    pipeline = Pipeline(engine)
-    target = (
-        pipeline.source("Wavelet", WholeExtent=[-10, 10, -10, 10, -10, 10])
-        .then("Slice", SliceType={"Origin": [0.0, 0.0, 0.0], "Normal": [1.0, 0.0, 0.0]})
-        .then("Contour", ContourBy=["POINTS", "RTData"], Isosurfaces=[110.0])
-    )
-    started = time.perf_counter()
-    target.evaluate()
-    return time.perf_counter() - started, engine.last_report
-
-
-def _cmd_bench(ns: argparse.Namespace) -> int:
-    cache_dir = resolve_cache_dir(ns.cache_dir)
-    disk = DiskCache(cache_dir)
-
-    # cold: fresh memory tier over the disk root (warm only if a previous
-    # bench already persisted this pipeline — reported, not hidden)
-    cold_seconds, cold_report = _bench_pipeline(TieredCache(ResultCache(), disk))
-    # warm: a brand-new memory tier over the *same* disk root, so every hit
-    # is served from the persistent files
-    warm_seconds, warm_report = _bench_pipeline(TieredCache(ResultCache(), disk))
-
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    payload = {
-        "cache_dir": str(cache_dir),
-        "cold_seconds": cold_seconds,
-        "cold_nodes_executed": cold_report.n_executed,
-        "warm_seconds": warm_seconds,
-        "warm_nodes_executed": warm_report.n_executed,
-        "speedup": speedup,
-    }
-    print(f"cold run: {cold_seconds * 1000:8.2f} ms ({cold_report.n_executed} nodes executed)")
-    print(f"warm run: {warm_seconds * 1000:8.2f} ms ({warm_report.n_executed} nodes executed)")
-    print(f"speedup:  {speedup:8.1f}x")
-    if warm_report.n_executed:
-        print("warning: warm run executed nodes — disk tier did not serve the pipeline")
-    if ns.json:
-        Path(ns.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {ns.json}")
-    return 0 if warm_report.n_executed == 0 else 1
-
-
 def _cmd_bench_manifest(ns: argparse.Namespace) -> int:
     from repro.perf import run_manifest
     from repro.perf.report import (
@@ -571,8 +525,6 @@ def _cmd_bench_manifest(ns: argparse.Namespace) -> int:
     payload = run_manifest(
         rounds=ns.rounds,
         kernels=ns.kernel or None,
-        include_suite=not ns.no_suite,
-        include_cache=not ns.no_cache,
         progress=lambda message: print(f"  {message}"),
     )
     print(format_manifest(payload))
@@ -987,16 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
     relations_parser.set_defaults(func=_cmd_verify_relations)
 
     bench_parser = subparsers.add_parser(
-        "bench",
-        help="benchmarks: plain = disk-cache cold/warm, 'manifest' = the kernel manifest",
+        "bench", help="benchmarks: 'manifest' = kernels vs their pinned references"
     )
-    bench_parser.add_argument(
-        "--json", default=None, help="also write the timings as JSON to this path"
-    )
-    _add_cache_dir_argument(bench_parser)
-    _add_trace_argument(bench_parser)
-    bench_parser.set_defaults(func=_cmd_bench)
-    bench_sub = bench_parser.add_subparsers(dest="bench_command")
+    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
     manifest_parser = bench_sub.add_parser(
         "manifest",
         help="run the canonical kernel benchmark manifest (BENCH_<n>.json)",
@@ -1017,12 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         default=None,
         help="also diff against a committed BENCH_<n>.json (informational)",
-    )
-    manifest_parser.add_argument(
-        "--no-suite", action="store_true", help="skip the canonical-suite wall clock"
-    )
-    manifest_parser.add_argument(
-        "--no-cache", action="store_true", help="skip the cold/warm cache section"
     )
     manifest_parser.set_defaults(func=_cmd_bench_manifest)
 

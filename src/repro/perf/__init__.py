@@ -1,13 +1,12 @@
 """``repro.perf`` — the performance trajectory subsystem.
 
-:mod:`repro.perf.manifest` / :mod:`repro.perf.report` are the canonical
-benchmark manifest runner behind ``repro bench manifest``: they time the
-substrate kernels (current vs. pinned ``_*_loop`` references), the
-canonical-suite wall clock and the cold/warm cache, and write the schema'd
-``BENCH_<n>.json`` committed per PR as the repo's perf trajectory.
+:mod:`repro.perf.manifest` / :mod:`repro.perf.report` are the kernel
+benchmark manifest behind ``repro bench manifest``: they time the substrate
+kernels (current vs. pinned ``_*_loop`` references) and write the schema'd
+``BENCH_<n>.json``.  The end-to-end benchmark lives in ``e2ebench/``.
 
-The manifest pulls in data generators, the engine and the scenario catalog,
-so it is imported lazily — ``from repro.perf import run_manifest`` still
+The manifest pulls in the data generators and the algorithm modules, so it
+is imported lazily — ``from repro.perf import run_manifest`` still
 works, but ``import repro.perf`` alone stays cheap.
 """
 
@@ -19,7 +18,6 @@ __all__ = [
     "KernelSpec",
     "all_kernel_names",
     "run_manifest",
-    "run_blocks_manifest",
     "compare_manifests",
     "format_comparison",
     "load_bench",
@@ -31,7 +29,6 @@ _LAZY = {
     "KernelSpec": "repro.perf.manifest",
     "all_kernel_names": "repro.perf.manifest",
     "run_manifest": "repro.perf.manifest",
-    "run_blocks_manifest": "repro.perf.manifest",
     "compare_manifests": "repro.perf.report",
     "format_comparison": "repro.perf.report",
     "load_bench": "repro.perf.report",

@@ -1,9 +1,10 @@
 """The canonical benchmark manifest behind ``repro bench manifest``.
 
 One manifest run times every substrate kernel against its pinned ``_*_loop``
-reference, the canonical-pipeline suite wall clock and the cold/warm cache
-round-trip, and returns the schema'd payload that gets committed as
-``BENCH_<n>.json`` — the repo's performance trajectory.
+reference and returns the schema'd payload that gets committed as
+``BENCH_<n>.json``.  These kernel figures are evidence under the end-to-end
+number, which ``e2ebench/run.py`` measures (catalog cold and warm, volume
+ops, the verify matrix).
 
 Measurement notes
 -----------------
@@ -22,7 +23,6 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -33,18 +33,11 @@ __all__ = [
     "KernelSpec",
     "all_kernel_names",
     "run_manifest",
-    "run_blocks_manifest",
     "BENCH_FILENAME",
-    "BLOCKS_BENCH_FILENAME",
-    "BLOCKS_BENCH_WORKERS",
 ]
 
 #: the perf-trajectory artifact this PR maintains (see README "Performance")
 BENCH_FILENAME = "BENCH_6.json"
-
-#: the block-decomposition scaling artifact (same repro-bench/1 schema)
-BLOCKS_BENCH_FILENAME = "BENCH_10.json"
-BLOCKS_BENCH_WORKERS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -215,148 +208,6 @@ def all_kernel_names() -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# block-decomposition scaling kernels (BENCH_10)
-# --------------------------------------------------------------------------- #
-#: synthetic volume for the blocks bench: 48^3 points is ~8x the largest
-#: small-suite canonical dataset (marschner-lobb at 24^3)
-BLOCKS_BENCH_DIMS = (48, 48, 48)
-
-
-def blocks_bench_dataset(dims: Sequence[int] = BLOCKS_BENCH_DIMS):
-    """The synthetic wave volume both sides of the blocks bench run on."""
-    from repro.datamodel import ImageData
-
-    img = ImageData(tuple(dims), spacing=(0.05, 0.05, 0.05))
-    points = img.get_points()
-    values = (
-        np.sin(4.1 * points[:, 0]) * np.cos(3.3 * points[:, 1])
-        + 0.5 * np.sin(5.7 * points[:, 2])
-    )
-    img.add_point_array("field", values)
-    return img
-
-
-#: the four blocked ops with the parameters both sides of the bench use
-BLOCKS_BENCH_OPS: Dict[str, Dict[str, Any]] = {
-    "contour": {"isovalues": [0.2], "array_name": "field", "compute_normals": True},
-    "slice": {"origin": [1.2, 1.2, 1.2], "normal": [0.25, 0.1, 1.0]},
-    "threshold": {"array_name": "field", "lower": -0.3, "upper": 0.7, "all_points": True},
-    "clip": {"origin": [1.2, 1.2, 1.2], "normal": [0.25, 0.1, 1.0], "keep_negative": False},
-}
-
-
-def _blocks_whole_ops(dataset) -> None:
-    from repro.algorithms import clip_dataset, contour, slice_dataset, threshold
-
-    p = BLOCKS_BENCH_OPS
-    contour(
-        dataset,
-        p["contour"]["isovalues"],
-        array_name=p["contour"]["array_name"],
-        compute_normals=p["contour"]["compute_normals"],
-    )
-    slice_dataset(dataset, origin=p["slice"]["origin"], normal=p["slice"]["normal"])
-    threshold(
-        dataset,
-        array_name=p["threshold"]["array_name"],
-        lower=p["threshold"]["lower"],
-        upper=p["threshold"]["upper"],
-        all_points=p["threshold"]["all_points"],
-    )
-    clip_dataset(
-        dataset,
-        origin=p["clip"]["origin"],
-        normal=p["clip"]["normal"],
-        keep_negative=p["clip"]["keep_negative"],
-    )
-
-
-def _blocks_blocked_ops(dataset, n_blocks: int, ghost: int, max_workers: int) -> None:
-    from repro.engine.blocks import BlocksConfig, run_blocked
-    from repro.engine.cache import shared_cache
-
-    # every timed call executes for real: served-from-cache blocks would
-    # measure the cache, not the decomposed execution
-    shared_cache().clear()
-    config = BlocksConfig(
-        n_blocks=n_blocks, ghost=ghost, executor="thread", max_workers=max_workers
-    )
-    for op, params in BLOCKS_BENCH_OPS.items():
-        out = run_blocked(op, dataset, params, config)
-        if out is None:  # pragma: no cover - the bench volume always splits
-            raise RuntimeError(f"bench dataset did not decompose for {op!r}")
-
-
-def blocks_kernel_specs(
-    n_blocks: int = 8,
-    ghost: int = 1,
-    workers: Sequence[int] = BLOCKS_BENCH_WORKERS,
-    dims: Sequence[int] = BLOCKS_BENCH_DIMS,
-) -> List[KernelSpec]:
-    """One kernel per worker count: blocked (current) vs whole (reference)."""
-
-    def setup() -> Dict[str, Any]:
-        return {"dataset": blocks_bench_dataset(dims)}
-
-    size = (
-        f"{dims[0]}x{dims[1]}x{dims[2]} synthetic wave volume, "
-        f"{n_blocks} blocks, ghost {ghost}, all four ops"
-    )
-    specs: List[KernelSpec] = []
-    for count in workers:
-        specs.append(
-            KernelSpec(
-                name=f"blocks_w{count}",
-                title=f"block-decomposed contour/slice/threshold/clip, {count} worker(s)",
-                size=size,
-                setup=setup,
-                current=(
-                    lambda ctx, _w=count: _blocks_blocked_ops(
-                        ctx["dataset"], n_blocks, ghost, _w
-                    )
-                ),
-                reference=lambda ctx: _blocks_whole_ops(ctx["dataset"]),
-            )
-        )
-    return specs
-
-
-def run_blocks_manifest(
-    rounds: int = 3,
-    n_blocks: int = 8,
-    ghost: int = 1,
-    workers: Sequence[int] = BLOCKS_BENCH_WORKERS,
-    dims: Sequence[int] = BLOCKS_BENCH_DIMS,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    """The ``BENCH_10.json`` payload: blocked-vs-whole wall clock per worker count.
-
-    Shares the repro-bench/1 schema and the interleaved pairwise-ratio timing
-    of :func:`run_manifest`; ``reference_ms`` is whole-dataset execution of
-    the same four ops, so ``speedup`` reads as "blocked at N workers vs
-    whole" (below 1.0 on a single hardware thread, where the decomposition
-    buys memory headroom, not wall clock).
-    """
-    payload = run_manifest(
-        rounds=rounds,
-        include_suite=False,
-        include_cache=False,
-        progress=progress,
-        specs=blocks_kernel_specs(n_blocks=n_blocks, ghost=ghost, workers=workers, dims=dims),
-    )
-    payload["bench"] = BLOCKS_BENCH_FILENAME
-    payload["blocks"] = {
-        "dims": list(dims),
-        "n_points": int(np.prod(np.asarray(dims))),
-        "n_blocks": n_blocks,
-        "ghost": ghost,
-        "workers": list(workers),
-        "ops": list(BLOCKS_BENCH_OPS),
-    }
-    return payload
-
-
-# --------------------------------------------------------------------------- #
 # timing
 # --------------------------------------------------------------------------- #
 def _time_call(fn: Callable[[], Any]) -> float:
@@ -402,69 +253,6 @@ def _run_kernel(
     }
 
 
-def _canonical_suite_seconds() -> Dict[str, Any]:
-    """Wall clock of the canonical pipelines' engine-level geometric subset.
-
-    The display-only and renderer-level steps of each canonical chain are
-    outside the engine operation set (the verify relations make the same
-    cut), so each scenario contributes its data materialization plus the
-    geometric steps that run through the engine.
-    """
-    from repro.scenarios.catalog import canonical_scenarios
-    from repro.verify.pipelines import (
-        GEOMETRIC_KINDS,
-        apply_operation_chain,
-        load_scenario_dataset,
-    )
-
-    scenarios = canonical_scenarios()
-    started = time.perf_counter()
-    executed = 0
-    with tempfile.TemporaryDirectory(prefix="repro-bench-suite-") as tmp:
-        for scenario in scenarios:
-            steps = [
-                step for step in scenario.operations if step.kind in GEOMETRIC_KINDS
-            ]
-            if not steps:
-                continue
-            dataset = load_scenario_dataset(scenario, tmp, small_data=True)
-            apply_operation_chain(dataset, steps)
-            executed += 1
-    return {
-        "wall_seconds": time.perf_counter() - started,
-        "n_scenarios": executed,
-    }
-
-
-def _cache_cold_warm() -> Dict[str, Any]:
-    """Cold vs. warm tiered-cache round-trip of a representative pipeline."""
-    from repro.engine import Engine, Pipeline
-    from repro.engine.cache import DiskCache, ResultCache, TieredCache
-
-    def one_pass(cache: TieredCache) -> float:
-        engine = Engine(cache=cache)
-        pipeline = Pipeline(engine)
-        target = (
-            pipeline.source("Wavelet", WholeExtent=[-10, 10, -10, 10, -10, 10])
-            .then("Slice", SliceType={"Origin": [0.0, 0.0, 0.0], "Normal": [1.0, 0.0, 0.0]})
-            .then("Contour", ContourBy=["POINTS", "RTData"], Isosurfaces=[110.0])
-        )
-        started = time.perf_counter()
-        target.evaluate()
-        return time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        disk = DiskCache(tmp)
-        cold = one_pass(TieredCache(ResultCache(), disk))
-        # fresh memory tier over the same disk root: warm hits come from disk
-        warm = one_pass(TieredCache(ResultCache(), disk))
-    return {
-        "cold_seconds": cold,
-        "warm_seconds": warm,
-        "speedup": cold / warm if warm > 0 else float("inf"),
-    }
-
-
 def _git_rev() -> str:
     try:
         out = subprocess.run(
@@ -492,18 +280,14 @@ def _machine_info() -> Dict[str, Any]:
 def run_manifest(
     rounds: int = 5,
     kernels: Optional[Sequence[str]] = None,
-    include_suite: bool = True,
-    include_cache: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     specs: Optional[Sequence[KernelSpec]] = None,
 ) -> Dict[str, Any]:
     """Run the benchmark manifest and return the ``BENCH_<n>.json`` payload.
 
-    ``kernels`` narrows the kernel list by name (default: all four);
-    ``include_suite``/``include_cache`` gate the non-kernel sections so tests
-    and quick local runs can stay cheap.  ``progress`` receives one line per
-    completed section.  ``specs`` replaces the built-in kernel list (tests
-    inject tiny kernels through it).
+    ``kernels`` narrows the kernel list by name (default: all four).
+    ``progress`` receives one line per completed kernel.  ``specs`` replaces
+    the built-in kernel list (tests inject tiny kernels through it).
     """
     from repro.perf.report import SCHEMA_ID
 
@@ -526,7 +310,7 @@ def run_manifest(
             f"{kernel_results[spec.name]['speedup']:.2f}x vs reference"
         )
 
-    payload: Dict[str, Any] = {
+    return {
         "schema": SCHEMA_ID,
         "bench": BENCH_FILENAME,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -535,10 +319,3 @@ def run_manifest(
         "rounds": rounds,
         "kernels": kernel_results,
     }
-    if include_suite:
-        payload["suite"] = _canonical_suite_seconds()
-        say(f"canonical suite: {payload['suite']['wall_seconds']:.2f} s")
-    if include_cache:
-        payload["cache"] = _cache_cold_warm()
-        say(f"cache warm speedup: {payload['cache']['speedup']:.1f}x")
-    return payload

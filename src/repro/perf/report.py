@@ -36,6 +36,7 @@ BENCH_SCHEMA: Dict[str, Any] = {
     "machine": (dict, True),
     "rounds": (int, True),
     "kernels": (dict, True),
+    # written only by earlier manifests; kept so committed BENCH_6.json validates
     "suite": (dict, False),
     "cache": (dict, False),
 }
@@ -188,19 +189,6 @@ def format_manifest(payload: Dict[str, Any]) -> str:
     lines.append(_fmt_row(header, widths))
     for row in rows[1:]:
         lines.append(_fmt_row(row, widths))
-    suite = payload.get("suite")
-    if suite:
-        lines.append(
-            f"canonical suite: {suite['wall_seconds']:.2f} s "
-            f"({suite['n_scenarios']} pipelines)"
-        )
-    cache = payload.get("cache")
-    if cache:
-        lines.append(
-            f"cache: cold {cache['cold_seconds'] * 1e3:.1f} ms, "
-            f"warm {cache['warm_seconds'] * 1e3:.1f} ms "
-            f"({cache['speedup']:.1f}x)"
-        )
     return "\n".join(lines)
 
 

@@ -46,9 +46,7 @@ def _tiny_spec(name="tiny", scale=1.0):
 
 @pytest.fixture(scope="module")
 def tiny_payload():
-    return run_manifest(
-        rounds=2, include_suite=False, include_cache=False, specs=[_tiny_spec()]
-    )
+    return run_manifest(rounds=2, specs=[_tiny_spec()])
 
 
 class TestRunManifest:
@@ -57,6 +55,8 @@ class TestRunManifest:
         assert tiny_payload["schema"] == SCHEMA_ID
         assert tiny_payload["bench"] == BENCH_FILENAME
         assert tiny_payload["rounds"] == 2
+        # the kernels are the whole manifest: end-to-end timing is e2ebench's
+        assert "suite" not in tiny_payload and "cache" not in tiny_payload
         entry = tiny_payload["kernels"]["tiny"]
         assert entry["current_ms"] > 0
         assert entry["reference_ms"] > 0
@@ -74,11 +74,7 @@ class TestRunManifest:
         with pytest.raises(KeyError):
             run_manifest(rounds=1, kernels=["nope"], specs=[_tiny_spec()])
         payload = run_manifest(
-            rounds=1,
-            kernels=["a"],
-            include_suite=False,
-            include_cache=False,
-            specs=[_tiny_spec("a"), _tiny_spec("b")],
+            rounds=1, kernels=["a"], specs=[_tiny_spec("a"), _tiny_spec("b")]
         )
         assert list(payload["kernels"]) == ["a"]
 
@@ -142,8 +138,6 @@ class TestBenchManifestCli:
                 "1",
                 "--kernel",
                 "isosurface",
-                "--no-suite",
-                "--no-cache",
                 "--output",
                 str(out_path),
             ]
@@ -153,6 +147,7 @@ class TestBenchManifestCli:
         assert "isosurface" in printed and "speedup" in printed
         payload = load_bench(out_path)
         assert list(payload["kernels"]) == ["isosurface"]
+        assert "suite" not in payload and "cache" not in payload
         assert payload["kernels"]["isosurface"]["speedup"] > 1.0
 
         # informational diff against the artifact we just wrote
@@ -164,19 +159,12 @@ class TestBenchManifestCli:
                 "1",
                 "--kernel",
                 "isosurface",
-                "--no-suite",
-                "--no-cache",
                 "--compare",
                 str(out_path),
             ]
         )
         assert code == 0
         assert "baseline" in capsys.readouterr().out
-
-    def test_plain_bench_still_works(self, tmp_path, capsys):
-        code = main(["bench", "--cache-dir", str(tmp_path / "cache")])
-        assert code == 0
-        assert "cold run" in capsys.readouterr().out
 
 
 class TestCommittedBench:
@@ -196,12 +184,11 @@ class TestCommittedBlocksBench:
     def test_committed_blocks_manifest_is_valid(self):
         from pathlib import Path
 
-        from repro.perf.manifest import BLOCKS_BENCH_FILENAME, BLOCKS_BENCH_WORKERS
-
-        committed = Path(__file__).resolve().parents[1] / BLOCKS_BENCH_FILENAME
+        # a frozen record: nothing in the repo regenerates it
+        committed = Path(__file__).resolve().parents[1] / "BENCH_10.json"
         payload = load_bench(committed)
-        assert payload["bench"] == BLOCKS_BENCH_FILENAME
-        expected = {f"blocks_w{w}" for w in BLOCKS_BENCH_WORKERS}
+        assert payload["bench"] == "BENCH_10.json"
+        expected = {f"blocks_w{w}" for w in [1, 2, 4, 8]}
         assert set(payload["kernels"]) == expected
         for name, entry in payload["kernels"].items():
             assert entry["current_ms"] > 0, name
@@ -209,7 +196,7 @@ class TestCommittedBlocksBench:
             assert entry["rounds"] >= 1, name
             assert entry["speedup_min"] <= entry["speedup"] <= entry["speedup_max"], name
         blocks = payload["blocks"]
-        assert blocks["workers"] == list(BLOCKS_BENCH_WORKERS)
+        assert blocks["workers"] == [1, 2, 4, 8]
         assert set(blocks["ops"]) == {"contour", "slice", "threshold", "clip"}
         # the out-of-core claim needs a volume well beyond the canonical suite
         assert blocks["n_points"] >= 4 * 24**3
