@@ -5,21 +5,31 @@ array of ``(x_pixel, y_pixel, depth)`` per vertex (see
 :func:`repro.rendering.transforms.viewport_transform`).  Colors are given per
 vertex as RGB in ``[0, 1]`` and interpolated across primitives.
 
-The rasterizer is scanline-free: each triangle is filled by evaluating
-barycentric coordinates over its bounding-box pixels with NumPy array
-operations, which keeps the per-triangle Python overhead low enough to fill
-tens of thousands of triangles per second.
+Every primitive type becomes *fragments* — ``(pixel, depth)`` candidates —
+generated with NumPy array operations in batches of at most
+``_FRAGMENT_BATCH``, with no Python loop per primitive.  Triangles are filled
+with edge functions (Pineda, "A Parallel Algorithm for Polygon
+Rasterization", SIGGRAPH 1988) evaluated over each triangle's pixel range;
+line segments are sampled and points taken as they are, and both are splatted
+over a square pixel neighborhood.  One winner rule,
+:func:`_nearest_fragments`, resolves every batch: per pixel the nearest
+fragment wins, ties go to the first fragment in generation order, and a
+winner must be strictly nearer than the depth already stored.  Colors are
+interpolated for the winners only.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.rendering.framebuffer import Framebuffer
 
 __all__ = ["rasterize_triangles", "rasterize_lines", "rasterize_points"]
+
+#: upper bound on the candidate fragments generated per vectorised batch
+_FRAGMENT_BATCH = 2_000_000
 
 
 def rasterize_triangles(
@@ -30,6 +40,10 @@ def rasterize_triangles(
     valid_vertices: Optional[np.ndarray] = None,
 ) -> int:
     """Fill triangles into the framebuffer with depth testing.
+
+    Triangles are drawn in a fixed order: by size class of their pixel
+    bounding box (at most 4 px, at most 12 px, larger), then by index.  A
+    pixel shared by equally deep fragments keeps the first triangle's color.
 
     Parameters
     ----------
@@ -46,208 +60,155 @@ def rasterize_triangles(
     Returns
     -------
     int
-        Number of triangles actually rasterized.
+        Number of triangles with at least one inside fragment in the
+        viewport, counted before the depth test: an occluded triangle
+        counts, a sub-pixel triangle covering no pixel centre does not.
     """
     width, height = framebuffer.width, framebuffer.height
-    color = framebuffer.color
-    depth = framebuffer.depth
+    color = framebuffer.color.reshape(-1, 3)
+    depth = framebuffer.depth.reshape(-1)
 
     pts = np.asarray(screen_points, dtype=np.float64)
     tris = np.asarray(triangles, dtype=np.int64)
     cols = np.asarray(vertex_colors, dtype=np.float64)
     if tris.size == 0:
         return 0
-
+    # one contiguous 1-D column per corner and per coordinate: cheaper to
+    # gather and reduce than (m, 3) rows
+    corners = [np.ascontiguousarray(tris[:, k]) for k in range(3)]
     if valid_vertices is not None:
-        tri_ok = valid_vertices[tris].all(axis=1)
-        tris = tris[tri_ok]
-        if tris.size == 0:
-            return 0
-
-    # Precompute per-triangle vertex data.
-    v0 = pts[tris[:, 0]]
-    v1 = pts[tris[:, 1]]
-    v2 = pts[tris[:, 2]]
-
-    # Cull triangles completely outside the viewport.
-    min_x = np.minimum(np.minimum(v0[:, 0], v1[:, 0]), v2[:, 0])
-    max_x = np.maximum(np.maximum(v0[:, 0], v1[:, 0]), v2[:, 0])
-    min_y = np.minimum(np.minimum(v0[:, 1], v1[:, 1]), v2[:, 1])
-    max_y = np.maximum(np.maximum(v0[:, 1], v1[:, 1]), v2[:, 1])
+        valid = np.asarray(valid_vertices)
+        ok = valid[corners[0]] & valid[corners[1]] & valid[corners[2]]
+        corners = [c[ok] for c in corners]
+    xs, ys, zs = (np.ascontiguousarray(pts[:, k]) for k in range(3))
+    x0, x1, x2 = (xs[c] for c in corners)
+    y0, y1, y2 = (ys[c] for c in corners)
+    min_x = np.minimum(np.minimum(x0, x1), x2)
+    max_x = np.maximum(np.maximum(x0, x1), x2)
+    min_y = np.minimum(np.minimum(y0, y1), y2)
+    max_y = np.maximum(np.maximum(y0, y1), y2)
     on_screen = (max_x >= 0) & (min_x <= width - 1) & (max_y >= 0) & (min_y <= height - 1)
-    order = np.nonzero(on_screen)[0]
-
-    c0 = cols[tris[:, 0]]
-    c1 = cols[tris[:, 1]]
-    c2 = cols[tris[:, 2]]
-
     # signed double area; degenerate triangles are dropped up front
-    areas = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
-    usable = on_screen & (np.abs(areas) > 1e-12)
+    areas = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    usable = np.nonzero(on_screen & (np.abs(areas) > 1e-12))[0]
 
-    # Split by bounding-box size: tiny triangles (the overwhelming majority
-    # for tubes/glyphs at full HD) go through a fully vectorised tile path;
-    # the rest fall back to a per-triangle loop.
-    bbox_w = np.ceil(max_x) - np.floor(min_x) + 1
-    bbox_h = np.ceil(max_y) - np.floor(min_y) + 1
-    bbox = np.maximum(bbox_w, bbox_h)
-    tiny = usable & (bbox <= _TINY_TILE)
-    small = usable & ~tiny & (bbox <= _TILE)
-    large = usable & ~tiny & ~small
+    # draw order: size class of the floor/ceil bounding box, then index;
+    # from here on every per-triangle array is in draw order
+    box = np.maximum(
+        np.ceil(max_x[usable]) - np.floor(min_x[usable]),
+        np.ceil(max_y[usable]) - np.floor(min_y[usable]),
+    ) + 1
+    size_class = (box > 4).astype(np.int8) + (box > 12)
+    order = usable[np.argsort(size_class, kind="stable")]
+    x0, x1, x2, y0, y1, y2 = (a[order] for a in (x0, x1, x2, y0, y1, y2))
+    min_x, max_x, min_y, max_y = (a[order] for a in (min_x, max_x, min_y, max_y))
+    areas = areas[order]
+    corners = [c[order] for c in corners]
+
+    # Tighter pixel range for well-conditioned triangles: only the integer
+    # pixels within m = 1e-6·E of the exact bounding box, E being the larger
+    # extent (at least 1).  Dropping the other pixels of the floor/ceil box
+    # changes nothing:
+    # - the pixel centre p lies δ > m outside the box on some axis; writing
+    #   p = Σ wᵢvᵢ with Σ wᵢ = 1, the negative weights must sum to at most
+    #   -δ/E, so the exact minimum barycentric is ≤ -δ/(2E) < -5e-7;
+    # - the float error of each computed w is ≲ 8u(E+1)²/|2A| (u the unit
+    #   roundoff; |p - vᵢ| ≤ E + 1 inside the floor/ceil box), which for
+    #   |2A| ≥ 1e-4·E² is ≤ 3.2e5·u ≈ 4e-11, ≪ 1e-9;
+    # - so every dropped pixel would have failed the w ≥ -1e-9 test anyway.
+    # Ill-conditioned slivers keep the floor/ceil box.
+    extent = np.maximum(np.maximum(max_x - min_x, max_y - min_y), 1.0)
+    margin = 1e-6 * extent
+    well = np.abs(areas) >= 1e-4 * extent * extent
+    lo_x, hi_x = np.floor(min_x), np.ceil(max_x)
+    lo_y, hi_y = np.floor(min_y), np.ceil(max_y)
+    np.maximum(lo_x, np.ceil(min_x - margin), out=lo_x, where=well)
+    np.minimum(hi_x, np.floor(max_x + margin), out=hi_x, where=well)
+    np.maximum(lo_y, np.ceil(min_y - margin), out=lo_y, where=well)
+    np.minimum(hi_y, np.floor(max_y + margin), out=hi_y, where=well)
+    lo_x = np.maximum(lo_x, 0).astype(np.int64)
+    lo_y = np.maximum(lo_y, 0).astype(np.int64)
+    span_x = np.maximum(np.minimum(hi_x, width - 1).astype(np.int64) - lo_x + 1, 0)
+    span_y = np.maximum(np.minimum(hi_y, height - 1).astype(np.int64) - lo_y + 1, 0)
 
     drawn = 0
-    drawn += _rasterize_small_triangles(
-        framebuffer, np.nonzero(tiny)[0], v0, v1, v2, c0, c1, c2, areas, min_x, min_y,
-        tile=_TINY_TILE,
-    )
-    drawn += _rasterize_small_triangles(
-        framebuffer, np.nonzero(small)[0], v0, v1, v2, c0, c1, c2, areas, min_x, min_y,
-        tile=_TILE,
-    )
+    eps = -1e-9
+    for batch in _batches(span_x * span_y):
+        # rows (triangle, y) first, then the pixels of each row; ``tri``
+        # indexes the batch's triangles
+        row_tri, row_dy = _ragged(span_y[batch])
+        frag_row, frag_dx = _ragged(span_x[batch][row_tri])
+        tri = row_tri[frag_row]
+        ix = lo_x[batch][tri] + frag_dx
+        iy = (lo_y[batch][row_tri] + row_dy)[frag_row]
+        px = ix.astype(np.float64)
+        py = iy.astype(np.float64)
 
-    for idx in np.nonzero(large)[0]:
-        p0, p1, p2 = v0[idx], v1[idx], v2[idx]
-        x_min = max(int(np.floor(min_x[idx])), 0)
-        x_max = min(int(np.ceil(max_x[idx])), width - 1)
-        y_min = max(int(np.floor(min_y[idx])), 0)
-        y_max = min(int(np.ceil(max_y[idx])), height - 1)
-        if x_max < x_min or y_max < y_min:
-            continue
-        area = areas[idx]
-
-        xs = np.arange(x_min, x_max + 1, dtype=np.float64)[None, :]
-        ys = np.arange(y_min, y_max + 1, dtype=np.float64)[:, None]
-
-        # barycentric coordinates via broadcasting (no meshgrid allocation)
-        w0 = ((p1[0] - xs) * (p2[1] - ys) - (p2[0] - xs) * (p1[1] - ys)) / area
-        w1 = ((p2[0] - xs) * (p0[1] - ys) - (p0[0] - xs) * (p2[1] - ys)) / area
+        X0, X1, X2 = x0[batch][tri], x1[batch][tri], x2[batch][tri]
+        Y0, Y1, Y2 = y0[batch][tri], y1[batch][tri], y2[batch][tri]
+        area = areas[batch][tri]
+        w0 = ((X1 - px) * (Y2 - py) - (X2 - px) * (Y1 - py)) / area
+        w1 = ((X2 - px) * (Y0 - py) - (X0 - px) * (Y2 - py)) / area
         w2 = 1.0 - w0 - w1
-
-        eps = -1e-9
-        inside = (w0 >= eps) & (w1 >= eps) & (w2 >= eps)
-        if not inside.any():
+        inside = np.nonzero((w0 >= eps) & (w1 >= eps) & (w2 >= eps))[0]
+        if inside.size == 0:
             continue
+        tri = tri[inside]
+        hit = np.zeros(batch.stop - batch.start, dtype=bool)
+        hit[tri] = True
+        drawn += int(np.count_nonzero(hit))
 
-        z = w0 * p0[2] + w1 * p1[2] + w2 * p2[2]
-        region_depth = depth[y_min : y_max + 1, x_min : x_max + 1]
-        visible = inside & (z < region_depth)
-        if not visible.any():
-            continue
+        w0, w1, w2 = w0[inside], w1[inside], w2[inside]
+        c0, c1, c2 = (c[batch][tri] for c in corners)
+        z = w0 * zs[c0] + w1 * zs[c1] + w2 * zs[c2]
+        pix = iy[inside] * width + ix[inside]
+        win = _nearest_fragments(depth, pix, z)
 
-        rgb = (
-            w0[..., None] * c0[idx]
-            + w1[..., None] * c1[idx]
-            + w2[..., None] * c2[idx]
+        c0, c1, c2 = c0[win], c1[win], c2[win]
+        color[pix[win]] = (
+            w0[win][:, None] * cols[c0] + w1[win][:, None] * cols[c1] + w2[win][:, None] * cols[c2]
         )
-        region_color = color[y_min : y_max + 1, x_min : x_max + 1]
-        region_color[visible] = rgb[visible]
-        region_depth[visible] = z[visible]
-        drawn += 1
     return drawn
 
 
-#: bounding-box sizes (pixels) below which triangles use the tiled fast paths
-_TINY_TILE = 4
-_TILE = 12
-#: fragments per vectorised batch (bounds peak memory of the tile path)
-_FRAGMENT_BATCH = 2_000_000
+def _ragged(counts: np.ndarray):
+    """Flatten runs of ``counts`` elements: ``(run, position in run)`` per element."""
+    run = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return run, np.arange(run.size) - starts[run]
 
 
-def _rasterize_small_triangles(
-    framebuffer: Framebuffer,
-    indices: np.ndarray,
-    v0: np.ndarray,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    areas: np.ndarray,
-    min_x: np.ndarray,
-    min_y: np.ndarray,
-    tile: int,
-) -> int:
-    """Vectorised rasterization of triangles whose bbox fits in a ``tile`` tile.
+def _batches(sizes: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of ``sizes`` summing to at most ``_FRAGMENT_BATCH``.
 
-    All candidate fragments of a batch are generated at once; the nearest
-    fragment per pixel is selected with a (pixel, depth) sort before the
-    depth-buffer test, so the result is identical to the per-triangle loop.
-    Colors are interpolated only for the winning fragments.
+    An item larger than the bound gets a batch of its own.
     """
-    if indices.size == 0:
-        return 0
-    width, height = framebuffer.width, framebuffer.height
-    color = framebuffer.color.reshape(-1, 3)
-    depth = framebuffer.depth.reshape(-1)
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < sizes.size:
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _FRAGMENT_BATCH, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
 
-    offsets = np.arange(tile, dtype=np.float64)
-    off_x = np.tile(offsets, tile)           # (T*T,)
-    off_y = np.repeat(offsets, tile)         # (T*T,)
-    per_tri = tile * tile
-    batch_size = max(_FRAGMENT_BATCH // per_tri, 1)
 
-    drawn = 0
-    for start in range(0, indices.size, batch_size):
-        batch = indices[start : start + batch_size]
-        p0, p1, p2 = v0[batch], v1[batch], v2[batch]
-        area = areas[batch][:, None]
-        base_x = np.floor(min_x[batch])[:, None]
-        base_y = np.floor(min_y[batch])[:, None]
-        px = base_x + off_x[None, :]          # (B, T*T)
-        py = base_y + off_y[None, :]
+def _nearest_fragments(depth: np.ndarray, pix: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Indices of the winning fragments; writes each winner's ``z`` to ``depth``.
 
-        w0 = ((p1[:, 0:1] - px) * (p2[:, 1:2] - py) - (p2[:, 0:1] - px) * (p1[:, 1:2] - py)) / area
-        w1 = ((p2[:, 0:1] - px) * (p0[:, 1:2] - py) - (p0[:, 0:1] - px) * (p2[:, 1:2] - py)) / area
-        w2 = 1.0 - w0 - w1
-
-        eps = -1e-9
-        inside = (
-            (w0 >= eps) & (w1 >= eps) & (w2 >= eps)
-            & (px >= 0) & (px < width) & (py >= 0) & (py < height)
-        )
-        if not inside.any():
-            continue
-
-        z = w0 * p0[:, 2:3] + w1 * p1[:, 2:3] + w2 * p2[:, 2:3]
-
-        frag_mask = inside.reshape(-1)
-        frag_idx = np.nonzero(frag_mask)[0]
-        pix = (py.astype(np.int64) * width + px.astype(np.int64)).reshape(-1)[frag_idx]
-        frag_z = z.reshape(-1)[frag_idx]
-
-        # nearest fragment per pixel: sort by (pixel, depth), keep the first
-        order_idx = np.lexsort((frag_z, pix))
-        pix_sorted = pix[order_idx]
-        first = np.ones(pix_sorted.shape[0], dtype=bool)
-        first[1:] = pix_sorted[1:] != pix_sorted[:-1]
-        winners = order_idx[first]
-
-        win_pix = pix[winners]
-        win_z = frag_z[winners]
-        visible = win_z < depth[win_pix]
-        if not visible.any():
-            drawn += int(batch.size)
-            continue
-        winners = winners[visible]
-        win_pix = win_pix[visible]
-        win_z = win_z[visible]
-
-        # interpolate colors only for the surviving fragments
-        flat_winners = frag_idx[winners]
-        tri_of_fragment = batch[flat_winners // per_tri]
-        w0_win = w0.reshape(-1)[flat_winners][:, None]
-        w1_win = w1.reshape(-1)[flat_winners][:, None]
-        w2_win = w2.reshape(-1)[flat_winners][:, None]
-        rgb = (
-            w0_win * c0[tri_of_fragment]
-            + w1_win * c1[tri_of_fragment]
-            + w2_win * c2[tri_of_fragment]
-        )
-
-        depth[win_pix] = win_z
-        color[win_pix] = rgb
-        drawn += int(batch.size)
-    return drawn
+    Per pixel the nearest fragment wins, ties going to the first fragment in
+    generation order (the stable ``(pixel, z)`` lexsort keeps it first).  A
+    winner must be strictly nearer than the stored depth: the pre-filter
+    drops occluded fragments, and NaN depths with them.
+    """
+    candidates = np.nonzero(z < depth[pix])[0]
+    ranked = candidates[np.lexsort((z[candidates], pix[candidates]))]
+    ranked_pix = pix[ranked]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked_pix[1:] != ranked_pix[:-1]
+    winners = ranked[first]
+    depth[pix[winners]] = z[winners]
+    return winners
 
 
 def _neighborhood_offsets(half: int) -> np.ndarray:
@@ -262,55 +223,37 @@ def _neighborhood_offsets(half: int) -> np.ndarray:
     )
 
 
-def _splat_fragments(
+def _splat(
     framebuffer: Framebuffer,
     xs: np.ndarray,
     ys: np.ndarray,
     zs: np.ndarray,
-    rgb: np.ndarray,
+    counts: np.ndarray,
     half: int,
-) -> None:
-    """Splat samples over their ``(2*half+1)²`` pixel neighborhoods, vectorised.
+):
+    """Depth-test the ``(2*half+1)²`` pixel neighborhoods of samples.
 
-    All ``K × N`` candidate fragments are generated at once from the
-    precomputed offset grid; per pixel the *nearest* fragment wins (ties go
-    to the earliest sample), selected with one ``np.minimum.at`` scatter-min
-    into the depth buffer — no Python-level loop over the neighborhood and
-    no fragment sort.
+    Samples arrive in consecutive runs of ``counts`` (one run per line
+    segment; all points form one run).  Fragments are generated run by run
+    and, within a run, offset-major: every sample at the first offset, then
+    every sample at the next.  Offsets are clamped to the viewport, so a
+    sample near the border also paints the border pixel.  Returns the
+    ``(pixel, sample)`` of every winner; their depth is already written.
     """
     width, height = framebuffer.width, framebuffer.height
-    color = framebuffer.color.reshape(-1, 3)
-    depth = framebuffer.depth.reshape(-1)
-
-    n = xs.shape[0]
-    if n == 0:
-        return
-    if half > 0:
-        offsets = _neighborhood_offsets(half)
-        frag_x = np.clip(xs[None, :] + offsets[:, 1:2], 0, width - 1).reshape(-1)
-        frag_y = np.clip(ys[None, :] + offsets[:, 0:1], 0, height - 1).reshape(-1)
-        k = offsets.shape[0]
-        frag_z = np.broadcast_to(zs, (k, n)).reshape(-1)
-        sample = np.broadcast_to(np.arange(n), (k, n)).reshape(-1)
-    else:
-        frag_x = np.clip(xs, 0, width - 1)
-        frag_y = np.clip(ys, 0, height - 1)
-        frag_z = zs
-        sample = np.arange(n)
-
+    offsets = _neighborhood_offsets(half)
+    k = offsets.shape[0]
+    row_run = np.repeat(np.arange(counts.size), k)
+    row_offset = np.tile(np.arange(k), counts.size)
+    frag_row, position = _ragged(counts[row_run])
+    starts = np.cumsum(counts) - counts
+    sample = starts[row_run][frag_row] + position
+    offset = offsets[row_offset[frag_row]]
+    frag_x = np.clip(xs[sample] + offset[:, 1], 0, width - 1)
+    frag_y = np.clip(ys[sample] + offset[:, 0], 0, height - 1)
     pix = frag_y * width + frag_x
-    depth_before = depth[pix]
-    np.minimum.at(depth, pix, frag_z)
-    # winners: fragments that set their pixel's new depth AND beat the old
-    # buffer strictly (a fragment exactly at the stored depth loses, matching
-    # the loop's strict test)
-    winners = np.nonzero((frag_z == depth[pix]) & (frag_z < depth_before))[0]
-    if winners.size == 0:
-        return
-    # reversed fancy assignment: among equal-depth winners of one pixel the
-    # *earliest* sample's color lands last and therefore wins
-    winners = winners[::-1]
-    color[pix[winners]] = rgb[sample[winners]]
+    win = _nearest_fragments(framebuffer.depth.reshape(-1), pix, zs[sample])
+    return pix[win], sample[win]
 
 
 def _splat_neighborhood_loop(
@@ -323,7 +266,7 @@ def _splat_neighborhood_loop(
 ) -> None:
     """The historical per-offset splat loop, kept as the reference oracle.
 
-    The regression tests pin :func:`_splat_fragments` against this.  (For
+    The regression tests pin :func:`_splat` against this.  (For
     overlap-free splats — and any input whose fragments arrive far-to-near —
     the two are exactly equivalent; the vectorised path additionally resolves
     same-batch pixel collisions nearest-first instead of last-written.)
@@ -339,26 +282,50 @@ def _splat_neighborhood_loop(
         color[yy[visible], xx[visible]] = rgb[visible]
 
 
-def _segment_samples(
+def _segment_steps(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Samples per segment: one per pixel of the longer screen axis, plus one."""
+    return np.maximum(np.abs(p1[:, 0] - p0[:, 0]), np.abs(p1[:, 1] - p0[:, 1])).astype(np.int64) + 1
+
+
+def _line_samples(
     p0: np.ndarray,
     p1: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
     width: int,
     height: int,
     depth_bias: float,
 ):
-    """Rasterised sample points along one segment (clipped to the viewport)."""
-    n_steps = int(max(abs(p1[0] - p0[0]), abs(p1[1] - p0[1]))) + 1
-    t = np.linspace(0.0, 1.0, n_steps)
-    xs = np.round(p0[0] + t * (p1[0] - p0[0])).astype(int)
-    ys = np.round(p0[1] + t * (p1[1] - p0[1])).astype(int)
-    zs = p0[2] + t * (p1[2] - p0[2]) - depth_bias
-    rgb = (1.0 - t)[:, None] * c0 + t[:, None] * c1
+    """Rasterised sample points of the segments ``p0 → p1``, clipped to the viewport.
+
+    A segment of ``n`` steps is sampled at ``t = i·(1/(n−1))`` with the last
+    ``t`` exactly 1.0 — ``np.linspace(0, 1, n)`` bit for bit.  Returns the
+    segment, ``x``, ``y``, ``z`` and ``t`` of every on-screen sample,
+    segment by segment.
+    """
+    n_steps = _segment_steps(p0, p1)
+    seg, i = _ragged(n_steps)
+    n = n_steps[seg]
+    t = i * (1.0 / np.maximum(n_steps - 1, 1))[seg]
+    t[(i == n - 1) & (n > 1)] = 1.0
+    xs = np.round(p0[seg, 0] + t * (p1[:, 0] - p0[:, 0])[seg]).astype(int)
+    ys = np.round(p0[seg, 1] + t * (p1[:, 1] - p0[:, 1])[seg]).astype(int)
+    zs = p0[seg, 2] + t * (p1[:, 2] - p0[:, 2])[seg] - depth_bias
     on = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-    if not on.any():
-        return None
-    return xs[on], ys[on], zs[on], rgb[on]
+    return seg[on], xs[on], ys[on], zs[on], t[on]
+
+
+def _prepare_segments(
+    screen_points: np.ndarray,
+    segments: np.ndarray,
+    vertex_colors: np.ndarray,
+    valid_vertices: Optional[np.ndarray],
+):
+    """Float points, ``(m, 2)`` segments (invalid ones dropped) and colors."""
+    pts = np.asarray(screen_points, dtype=np.float64)
+    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    cols = np.asarray(vertex_colors, dtype=np.float64)
+    if valid_vertices is not None and segs.size:
+        segs = segs[valid_vertices[segs].all(axis=1)]
+    return pts, segs, cols
 
 
 def rasterize_lines(
@@ -374,33 +341,31 @@ def rasterize_lines(
 
     ``segments`` is an ``(m, 2)`` array of vertex-index pairs.  Lines are
     drawn with a small depth bias toward the viewer so that wireframe edges
-    win over co-planar filled triangles.  The per-sample neighborhood splat
-    is fully vectorised (:func:`_splat_fragments`).
+    win over co-planar filled triangles.  Each sample is splatted over its
+    ``line_width`` neighborhood; fragments are generated segment by segment,
+    so at equal depth the earlier segment keeps the pixel.  Returns the
+    number of segments with at least one sample in the viewport.
     """
     width, height = framebuffer.width, framebuffer.height
-
-    pts = np.asarray(screen_points, dtype=np.float64)
-    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
-    cols = np.asarray(vertex_colors, dtype=np.float64)
+    color = framebuffer.color.reshape(-1, 3)
+    pts, segs, cols = _prepare_segments(screen_points, segments, vertex_colors, valid_vertices)
     if segs.size == 0:
         return 0
-    if valid_vertices is not None:
-        ok = valid_vertices[segs].all(axis=1)
-        segs = segs[ok]
-        if segs.size == 0:
-            return 0
 
     half = max(int(line_width) // 2, 0)
+    p0, p1 = pts[segs[:, 0]], pts[segs[:, 1]]
+    neighborhood = (2 * half + 1) ** 2
     drawn = 0
-    for a, b in segs:
-        samples = _segment_samples(
-            pts[a], pts[b], cols[a], cols[b], width, height, depth_bias
-        )
-        if samples is None:
+    for batch in _batches(_segment_steps(p0, p1) * neighborhood):
+        seg, xs, ys, zs, t = _line_samples(p0[batch], p1[batch], width, height, depth_bias)
+        counts = np.bincount(seg, minlength=batch.stop - batch.start)
+        drawn += int(np.count_nonzero(counts))
+        if seg.size == 0:
             continue
-        xs, ys, zs, rgb = samples
-        _splat_fragments(framebuffer, xs, ys, zs, rgb, half)
-        drawn += 1
+        win_pix, win_sample = _splat(framebuffer, xs, ys, zs, counts, half)
+        t = t[win_sample]
+        ends = segs[batch][seg[win_sample]]
+        color[win_pix] = (1.0 - t)[:, None] * cols[ends[:, 0]] + t[:, None] * cols[ends[:, 1]]
     return drawn
 
 
@@ -413,16 +378,14 @@ def rasterize_points(
     point_size: int = 2,
 ) -> int:
     """Draw square point splats with depth testing (vectorised neighborhood)."""
-    width, height = framebuffer.width, framebuffer.height
-
     prepared = _prepare_point_splats(
         framebuffer, screen_points, point_ids, vertex_colors, valid_vertices, point_size
     )
     if prepared is None:
         return 0
-    xs, ys, zs, rgb, n_ids = prepared
-    half = max(int(point_size) // 2, 0)
-    _splat_fragments(framebuffer, xs, ys, zs, rgb, half)
+    xs, ys, zs, rgb, half, n_ids = prepared
+    win_pix, win_sample = _splat(framebuffer, xs, ys, zs, np.array([xs.size]), half)
+    framebuffer.color.reshape(-1, 3)[win_pix] = rgb[win_sample]
     return n_ids
 
 
@@ -434,7 +397,10 @@ def _prepare_point_splats(
     valid_vertices: Optional[np.ndarray],
     point_size: int,
 ):
-    """Shared sample preparation for the point splat paths (fast and reference)."""
+    """Shared sample preparation for the point splat paths (fast and reference).
+
+    Keeps the points whose ``half``-neighborhood reaches the viewport.
+    """
     width, height = framebuffer.width, framebuffer.height
     pts = np.asarray(screen_points, dtype=np.float64)
     ids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
@@ -451,11 +417,9 @@ def _prepare_point_splats(
     zs = pts[ids, 2]
     rgb = cols[ids]
 
-    on = (
-        (xs >= -point_size) & (xs < width + point_size)
-        & (ys >= -point_size) & (ys < height + point_size)
-    )
-    return xs[on], ys[on], zs[on], rgb[on], int(ids.size)
+    half = max(int(point_size) // 2, 0)
+    on = (xs >= -half) & (xs < width + half) & (ys >= -half) & (ys < height + half)
+    return xs[on], ys[on], zs[on], rgb[on], half, int(ids.size)
 
 
 def _rasterize_points_reference(
@@ -472,8 +436,7 @@ def _rasterize_points_reference(
     )
     if prepared is None:
         return 0
-    xs, ys, zs, rgb, n_ids = prepared
-    half = max(int(point_size) // 2, 0)
+    xs, ys, zs, rgb, half, n_ids = prepared
     _splat_neighborhood_loop(framebuffer, xs, ys, zs, rgb, half)
     return n_ids
 
@@ -487,27 +450,18 @@ def _rasterize_lines_reference(
     line_width: int = 1,
     depth_bias: float = 1e-4,
 ) -> int:
-    """:func:`rasterize_lines` over the historical loop splat (tests only)."""
-    width, height = framebuffer.width, framebuffer.height
-    pts = np.asarray(screen_points, dtype=np.float64)
-    segs = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
-    cols = np.asarray(vertex_colors, dtype=np.float64)
+    """:func:`rasterize_lines` over the historical loop splat, one segment at a time (tests only)."""
+    pts, segs, cols = _prepare_segments(screen_points, segments, vertex_colors, valid_vertices)
     if segs.size == 0:
         return 0
-    if valid_vertices is not None:
-        ok = valid_vertices[segs].all(axis=1)
-        segs = segs[ok]
-        if segs.size == 0:
-            return 0
     half = max(int(line_width) // 2, 0)
-    drawn = 0
-    for a, b in segs:
-        samples = _segment_samples(
-            pts[a], pts[b], cols[a], cols[b], width, height, depth_bias
-        )
-        if samples is None:
-            continue
-        xs, ys, zs, rgb = samples
-        _splat_neighborhood_loop(framebuffer, xs, ys, zs, rgb, half)
-        drawn += 1
-    return drawn
+    seg, xs, ys, zs, t = _line_samples(
+        pts[segs[:, 0]], pts[segs[:, 1]], framebuffer.width, framebuffer.height, depth_bias
+    )
+    if seg.size == 0:
+        return 0
+    rgb = (1.0 - t)[:, None] * cols[segs[seg, 0]] + t[:, None] * cols[segs[seg, 1]]
+    runs = np.split(np.arange(seg.size), np.flatnonzero(np.diff(seg)) + 1)
+    for run in runs:
+        _splat_neighborhood_loop(framebuffer, xs[run], ys[run], zs[run], rgb[run], half)
+    return len(runs)

@@ -266,19 +266,6 @@ class TestRasterizer:
         corner = fb.color[2, 2]
         assert corner[0] > corner[2]  # near the red vertex
 
-    def test_small_and_large_paths_agree(self):
-        rng = np.random.default_rng(0)
-        # many small triangles: compare tiled path against per-triangle loop by
-        # scaling the same geometry (small vs large bounding boxes)
-        base = rng.random((30, 3)) * 4
-        tris = np.arange(30).reshape(10, 3)
-        cols = rng.random((30, 3))
-        fb_small = Framebuffer(64, 64)
-        pts_small = base.copy()
-        pts_small[:, 2] = 0.5
-        rasterize_triangles(fb_small, pts_small, tris, cols)
-        assert fb_small.coverage() >= 0.0  # exercises the tiny-triangle path
-
     def test_degenerate_triangle_skipped(self):
         fb = Framebuffer(10, 10)
         pts = np.array([[1, 1, 0], [5, 5, 0], [9, 9, 0]], dtype=float)
@@ -312,6 +299,18 @@ class TestRasterizer:
         pts = np.array([[10, 10, 0.5]])
         rasterize_points(fb, pts, np.array([0]), np.ones((1, 3)), point_size=3)
         assert fb.coverage() > 0.0
+
+    def test_offscreen_point_splat_reaches_only_its_own_pixels(self):
+        # point_size=2 reaches one pixel around the centre: a point at x=-2
+        # touches nothing on screen and must not be clamped onto column 0
+        fb = Framebuffer(10, 10)
+        rasterize_points(fb, np.array([[-2.0, 5.0, 0.5]]), np.array([0]), np.zeros((1, 3)), point_size=2)
+        assert fb.coverage() == 0.0
+        # point_size=3 at x=-1 genuinely covers column 0, rows 4..6
+        fb = Framebuffer(10, 10)
+        rasterize_points(fb, np.array([[-1.0, 5.0, 0.5]]), np.array([0]), np.zeros((1, 3)), point_size=3)
+        covered = np.argwhere(np.isfinite(fb.depth))
+        assert covered.tolist() == [[4, 0], [5, 0], [6, 0]]
 
 
 class TestVectorizedSplatRegression:
