@@ -6,9 +6,9 @@ provided:
 
 * :func:`clip_polydata` — clips triangles, polylines and vertices of a
   :class:`PolyData`, producing a new PolyData.
-* :func:`clip_unstructured` — clips the tetrahedral decomposition of an
-  :class:`UnstructuredGrid`, producing a new UnstructuredGrid of tetrahedra
-  (plus surviving vertex cells).
+* :func:`clip_unstructured` — clips an :class:`UnstructuredGrid` (3-d cells
+  through their tetrahedra, quads as two triangles), producing a new
+  UnstructuredGrid of tetrahedra plus the surviving lower-dimensional cells.
 
 By default the *negative* side of the implicit function is kept
 (``keep_negative=True``), matching ParaView's plane clip with the ``Invert``
@@ -18,13 +18,23 @@ the ``-x`` half with a +x plane normal, i.e. exactly this convention.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.implicit import ImplicitFunction, Plane
 from repro.datamodel import CellType, Dataset, ImageData, PolyData, UnstructuredGrid
-from repro.datamodel.cells import is_volumetric, tetrahedralize_cell
+from repro.datamodel.cells import TETRA_SPLITS, TRIANGLE_SPLITS
+from repro.datamodel.unstructured import (
+    CellArrays,
+    cells_passing,
+    concat_cells,
+    offsets_of,
+    split_cells,
+    split_counts,
+    take_cells,
+    uniform_cells,
+)
 
 __all__ = ["clip_polydata", "clip_unstructured", "clip_dataset"]
 
@@ -179,6 +189,125 @@ def clip_polydata(
 # --------------------------------------------------------------------------- #
 # UnstructuredGrid clipping
 # --------------------------------------------------------------------------- #
+# Every simplex (tet, triangle, vertex) is clipped by a case table indexed by
+# the bitmask of its kept corners.  A case lists the *pool calls* the
+# clipper makes, in order: ``(a, b)`` local corners, an original point when
+# ``a == b`` and otherwise the crossing on edge ``(kept a, dropped b)``;
+# then the output simplices as indices into that call list.  Output point
+# ids are handed out in first-call order over (cell, piece, call), as a
+# point pool filled cell by cell would.
+def _tet_case(kept: List[int], out: List[int]):
+    if len(kept) == 4:
+        return [(k, k) for k in kept], [(0, 1, 2, 3)]
+    if len(kept) == 1:
+        k0 = kept[0]
+        return [(k0, o) for o in out] + [(k0, k0)], [(3, 0, 1, 2)]
+    if len(kept) == 3:
+        o = out[0]
+        calls = [(k, o) for k in kept] + [(k, k) for k in kept]
+        return calls, [(3, 4, 5, 0), (4, 5, 0, 1), (5, 0, 1, 2)]
+    # two kept: the kept region is a wedge with triangular faces
+    # (k0, e00, e01) and (k1, e10, e11)
+    (k0, k1), (o0, o1) = kept, out
+    calls = [(k0, o0), (k0, o1), (k1, o0), (k1, o1), (k0, k0), (k1, k1)]
+    return calls, [(4, 0, 1, 5), (0, 1, 5, 2), (1, 5, 2, 3)]
+
+
+def _triangle_case(kept: List[int], out: List[int]):
+    if len(kept) == 3:
+        return [(k, k) for k in kept], [(0, 1, 2)]
+    if len(kept) == 2:
+        (k0, k1), o = kept, out[0]
+        return [(k0, k0), (k1, k1), (k0, o), (k1, o)], [(0, 1, 3), (0, 3, 2)]
+    k = kept[0]
+    return [(k, k), (k, out[0]), (k, out[1])], [(0, 1, 2)]
+
+
+def _vertex_case(kept: List[int], out: List[int]):
+    return [(0, 0)], [(0,)]
+
+
+def _case_table(n_corners: int, case_fn) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Padded ``(calls, n_calls, pieces, n_pieces)`` arrays over every mask."""
+    cases = []
+    for mask in range(1 << n_corners):
+        kept = [i for i in range(n_corners) if mask >> i & 1]
+        out = [i for i in range(n_corners) if not mask >> i & 1]
+        cases.append(case_fn(kept, out) if kept else ([], []))
+    max_calls = max(len(c) for c, _p in cases)
+    max_pieces = max(len(p) for _c, p in cases)
+    calls = np.zeros((len(cases), max_calls, 2), dtype=np.int64)
+    pieces = np.zeros((len(cases), max_pieces, n_corners), dtype=np.int64)
+    for mask, (case_calls, case_pieces) in enumerate(cases):
+        if case_calls:
+            calls[mask, : len(case_calls)] = case_calls
+            pieces[mask, : len(case_pieces)] = case_pieces
+    n_calls = np.asarray([len(c) for c, _p in cases], dtype=np.int64)
+    n_pieces = np.asarray([len(p) for _c, p in cases], dtype=np.int64)
+    return calls, n_calls, pieces, n_pieces
+
+
+_TET_TABLE = _case_table(4, _tet_case)
+_TRIANGLE_TABLE = _case_table(3, _triangle_case)
+_VERTEX_TABLE = _case_table(1, _vertex_case)
+
+
+_VERTEX_SPLITS = {CellType.VERTEX: ((0,),)}
+
+
+class _Stream(NamedTuple):
+    """One kind's pool calls and output cells, in (cell, piece, call) order.
+
+    ``cells`` index into this stream's own calls; ``call_parent`` and
+    ``cell_parent`` are the input cell ids of every call and output cell.
+    """
+
+    call_parent: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cells: CellArrays
+    cell_parent: np.ndarray
+
+
+def _clip_simplices(
+    simplices: np.ndarray, parent: np.ndarray, keep: np.ndarray, cell_type: int, table
+) -> _Stream:
+    calls, n_calls, pieces, n_pieces = table
+    width = simplices.shape[1]
+    mask = (keep[simplices].astype(np.int64) << np.arange(width)).sum(axis=1)
+    live = mask != 0
+    simplices, parent, mask = simplices[live], parent[live], mask[live]
+    rows = np.arange(len(simplices))[:, None]
+    valid = np.arange(calls.shape[1]) < n_calls[mask][:, None]
+    a = simplices[rows, calls[mask, :, 0]][valid]
+    b = simplices[rows, calls[mask, :, 1]][valid]
+    slot = np.cumsum(valid).reshape(valid.shape) - 1
+    out_valid = np.arange(pieces.shape[1]) < n_pieces[mask][:, None]
+    out = slot[rows[:, :, None], pieces[mask]][out_valid]
+    return _Stream(
+        np.broadcast_to(parent[:, None], valid.shape)[valid],
+        np.minimum(a, b),
+        np.maximum(a, b),
+        uniform_cells(cell_type, out.reshape(-1, width)),
+        np.broadcast_to(parent[:, None], out_valid.shape)[out_valid],
+    )
+
+
+def _keep_whole_lines(cells: CellArrays, keep: np.ndarray) -> _Stream:
+    """LINE / POLY_LINE cells survive unchanged when all their points do."""
+    is_line = (cells.types == CellType.LINE) | (cells.types == CellType.POLY_LINE)
+    kept = np.flatnonzero(is_line & cells_passing(keep[cells.connectivity], cells.offsets, True))
+    lines = take_cells(cells, kept)
+    ids = lines.connectivity
+    return _Stream(
+        np.repeat(kept, np.diff(lines.offsets)),
+        ids,
+        ids,
+        CellArrays(lines.types, lines.offsets, np.arange(len(ids))),
+        kept,
+    )
+
+
 def clip_unstructured(
     grid: UnstructuredGrid,
     origin: Sequence[float] = (0.0, 0.0, 0.0),
@@ -186,107 +315,69 @@ def clip_unstructured(
     keep_negative: bool = True,
     function: Optional[ImplicitFunction] = None,
 ) -> UnstructuredGrid:
-    """Clip an unstructured grid, splitting boundary tetrahedra exactly."""
+    """Clip an unstructured grid, splitting boundary cells exactly.
+
+    Volumetric cells are clipped through their tetrahedra, triangles and
+    quads (as two triangles) are split, vertices kept or dropped, and lines
+    and polylines kept only when every point is kept.  The output holds the
+    tetrahedra first, then the other cells, each in input cell order.
+    """
+    from repro.algorithms.isosurface import tetrahedra_of_dataset
+
     g = _evaluate(function, origin, normal, grid.points)
     if not keep_negative:
         g = -g
     keep = g <= 0.0
-
-    pool = _PointPool(grid, g)
-    out_tets: List[Tuple[int, int, int, int]] = []
-    out_other: List[Tuple[int, Tuple[int, ...]]] = []
-
-    for ctype, conn in grid.cells():
-        if is_volumetric(ctype):
-            for tet in tetrahedralize_cell(ctype, conn):
-                out_tets.extend(_clip_tetrahedron(tet, keep, pool))
-        elif CellType(ctype) == CellType.VERTEX:
-            pid = conn[0]
-            if keep[pid]:
-                out_other.append((CellType.VERTEX, (pool.original(pid),)))
-        elif CellType(ctype) == CellType.TRIANGLE:
-            # delegate to the PolyData logic for a single triangle
-            inside = [bool(keep[i]) for i in conn]
-            n_in = sum(inside)
-            if n_in == 3:
-                out_other.append((CellType.TRIANGLE, tuple(pool.original(i) for i in conn)))
-            elif n_in == 2:
-                o = conn[inside.index(False)]
-                kept = [i for i, f in zip(conn, inside) if f]
-                a0, a1 = pool.original(kept[0]), pool.original(kept[1])
-                e0, e1 = pool.edge(kept[0], o), pool.edge(kept[1], o)
-                out_other.append((CellType.TRIANGLE, (a0, a1, e1)))
-                out_other.append((CellType.TRIANGLE, (a0, e1, e0)))
-            elif n_in == 1:
-                k = conn[inside.index(True)]
-                o = [i for i, f in zip(conn, inside) if not f]
-                out_other.append(
-                    (CellType.TRIANGLE, (pool.original(k), pool.edge(k, o[0]), pool.edge(k, o[1])))
-                )
-        elif CellType(ctype) in (CellType.LINE, CellType.POLY_LINE):
-            ids = list(conn)
-            if all(keep[i] for i in ids):
-                out_other.append((CellType(ctype), tuple(pool.original(i) for i in ids)))
-        # other 2-d cells are first triangulated by callers; ignore here
-
-    result = UnstructuredGrid(pool.build_points())
-    for tet in out_tets:
-        result.add_cell(CellType.TETRA, tet)
-    for ctype, conn in out_other:
-        result.add_cell(ctype, conn)
-    pool.attach_point_data(result)
-    return result
-
-
-def _clip_tetrahedron(
-    tet: Sequence[int],
-    keep: np.ndarray,
-    pool: _PointPool,
-) -> List[Tuple[int, int, int, int]]:
-    """Clip one tetrahedron, returning kept tetrahedra in output ids."""
-    ids = [int(i) for i in tet]
-    inside = [bool(keep[i]) for i in ids]
-    n_in = sum(inside)
-    if n_in == 0:
-        return []
-    if n_in == 4:
-        return [tuple(pool.original(i) for i in ids)]  # type: ignore[return-value]
-
-    kept = [i for i, f in zip(ids, inside) if f]
-    out = [i for i, f in zip(ids, inside) if not f]
-
-    if n_in == 1:
-        k0 = kept[0]
-        e = [pool.edge(k0, o) for o in out]
-        return [(pool.original(k0), e[0], e[1], e[2])]
-
-    if n_in == 3:
-        o = out[0]
-        k0, k1, k2 = kept
-        e0 = pool.edge(k0, o)
-        e1 = pool.edge(k1, o)
-        e2 = pool.edge(k2, o)
-        a0, a1, a2 = pool.original(k0), pool.original(k1), pool.original(k2)
-        return [
-            (a0, a1, a2, e0),
-            (a1, a2, e0, e1),
-            (a2, e0, e1, e2),
-        ]
-
-    # n_in == 2: the kept region is a wedge with triangular faces
-    # (k0, e00, e01) and (k1, e10, e11)
-    k0, k1 = kept
-    o0, o1 = out
-    e00 = pool.edge(k0, o0)
-    e01 = pool.edge(k0, o1)
-    e10 = pool.edge(k1, o0)
-    e11 = pool.edge(k1, o1)
-    a0, a1 = pool.original(k0), pool.original(k1)
-    return [
-        (a0, e00, e01, a1),
-        (e00, e01, a1, e10),
-        (e01, a1, e10, e11),
+    cells = grid.cell_arrays()
+    tet_parent = np.repeat(np.arange(cells.n_cells), split_counts(cells.types, TETRA_SPLITS))
+    streams = [
+        _clip_simplices(tetrahedra_of_dataset(grid), tet_parent, keep, CellType.TETRA, _TET_TABLE),
+        _clip_simplices(
+            *split_cells(cells, TRIANGLE_SPLITS), keep, CellType.TRIANGLE, _TRIANGLE_TABLE
+        ),
+        _clip_simplices(*split_cells(cells, _VERTEX_SPLITS), keep, CellType.VERTEX, _VERTEX_TABLE),
+        _keep_whole_lines(cells, keep),
     ]
+
+    # number the pooled points in first-call order over the input cells
+    order = np.argsort(np.concatenate([s.call_parent for s in streams]), kind="stable")
+    n = np.int64(grid.n_points)
+    keys = np.concatenate([s.lo for s in streams]) * n + np.concatenate([s.hi for s in streams])
+    unique, first, inverse = np.unique(keys[order], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = rank[inverse.reshape(-1)]
+
+    # originals copy their point; edge (a, b) crossings interpolate at t
+    a = unique[by_first] // max(n, 1)
+    b = unique[by_first] - a * n
+    edge = a != b
+    ga, gb = g[a[edge]], g[b[edge]]
+    denom = ga - gb
+    t = np.zeros(len(a), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t[edge] = np.where(denom == 0.0, 0.5, np.clip(ga / denom, 0.0, 1.0))
+    points = grid.points
+    coords = points[a]
+    pa, pb = points[a[edge]], points[b[edge]]
+    coords[edge] = pa + t[edge, None] * (pb - pa)
+
+    result = UnstructuredGrid(coords)
+    bases = offsets_of([len(s.lo) for s in streams])
+    result.add_cells(CellType.TETRA, ids[bases[0] + streams[0].cells.connectivity].reshape(-1, 4))
+    others = concat_cells(
+        s.cells._replace(connectivity=ids[base + s.cells.connectivity])
+        for base, s in zip(bases[1:], streams[1:])
+    )
+    parent = np.concatenate([s.cell_parent for s in streams[1:]])
+    result.add_cell_arrays(*take_cells(others, np.argsort(parent, kind="stable")))
+    if len(grid.point_data) and len(a):
+        interped = grid.point_data.interpolate(a, b, t)
+        for name in interped.names():
+            result.add_point_array(name, interped[name].values)
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -316,9 +407,7 @@ def _image_to_unstructured(image: ImageData) -> UnstructuredGrid:
     from repro.algorithms.isosurface import tetrahedra_of_dataset
 
     grid = UnstructuredGrid(image.get_points())
-    tets = tetrahedra_of_dataset(image)
-    for tet in tets:
-        grid.add_cell(CellType.TETRA, tet.tolist())
+    grid.add_cells(CellType.TETRA, tetrahedra_of_dataset(image))
     for name in image.point_data.names():
         grid.add_point_array(name, image.point_data[name].values.copy())
     return grid

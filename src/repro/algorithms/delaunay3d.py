@@ -305,8 +305,7 @@ def delaunay_3d(
     tets = delaunay_tetrahedra(points, backend=chosen)
 
     grid = UnstructuredGrid(points.copy())
-    for tet in tets:
-        grid.add_cell(CellType.TETRA, tet.tolist())
+    grid.add_cells(CellType.TETRA, tets)
     for name in dataset.point_data.names():
         grid.add_point_array(name, dataset.point_data[name].values.copy())
     return grid

@@ -29,7 +29,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.datamodel import Dataset, ImageData, PolyData, UnstructuredGrid
-from repro.datamodel.cells import is_volumetric, tetrahedralize_cell
+from repro.datamodel.cells import TETRA_SPLITS, CellType
+from repro.datamodel.unstructured import split_cells
 
 __all__ = ["extract_level_set", "extract_level_lines", "tetrahedra_of_dataset"]
 
@@ -170,19 +171,21 @@ _TETRA_CACHE_LOCK = threading.Lock()
 
 
 def _compute_tetrahedra(dataset: Dataset) -> np.ndarray:
+    """The ``(m, 4)`` decomposition, read-only: the memo shares it."""
     if isinstance(dataset, ImageData):
-        return _image_data_tetrahedra(dataset)
-    if isinstance(dataset, UnstructuredGrid):
-        tets: List[Tuple[int, int, int, int]] = []
-        for ctype, conn in dataset.cells():
-            if is_volumetric(ctype):
-                tets.extend(tetrahedralize_cell(ctype, conn))
-        if not tets:
-            return np.zeros((0, 4), dtype=np.int64)
-        return np.asarray(tets, dtype=np.int64)
-    raise TypeError(
-        f"cannot decompose dataset of type {type(dataset).__name__} into tetrahedra"
-    )
+        tets = _image_data_tetrahedra(dataset)
+    elif isinstance(dataset, UnstructuredGrid):
+        cells = dataset.cell_arrays()
+        if (cells.types == CellType.TETRA).all():
+            tets = cells.connectivity.reshape(-1, 4)
+        else:
+            tets = split_cells(cells, TETRA_SPLITS)[0]
+    else:
+        raise TypeError(
+            f"cannot decompose dataset of type {type(dataset).__name__} into tetrahedra"
+        )
+    tets.flags.writeable = False
+    return tets
 
 
 def tetrahedra_of_dataset(dataset: Dataset) -> np.ndarray:

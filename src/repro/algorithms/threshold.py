@@ -7,13 +7,16 @@ from typing import Optional
 import numpy as np
 
 from repro.datamodel import CellType, Dataset, ImageData, PolyData, UnstructuredGrid
+from repro.datamodel.unstructured import (
+    CellArrays,
+    cells_passing,
+    concat_cells,
+    offsets_of,
+    take_cells,
+    uniform_cells,
+)
 
 __all__ = ["threshold"]
-
-
-def _cell_passes(point_values: np.ndarray, lower: float, upper: float, all_points: bool) -> bool:
-    inside = (point_values >= lower) & (point_values <= upper)
-    return bool(inside.all() if all_points else inside.any())
 
 
 def threshold(
@@ -51,30 +54,33 @@ def threshold(
         )
     values = dataset.point_data[array_name].as_scalar()
 
-    out = UnstructuredGrid(dataset.get_points().copy())
-    for name in dataset.point_data.names():
-        out.add_point_array(name, dataset.point_data[name].values.copy())
+    inside = (values >= lower) & (values <= upper)
 
     if isinstance(dataset, UnstructuredGrid):
-        for ctype, conn in dataset.cells():
-            if _cell_passes(values[list(conn)], lower, upper, all_points):
-                out.add_cell(ctype, conn)
+        cells = dataset.cell_arrays()
     elif isinstance(dataset, ImageData):
         from repro.algorithms.isosurface import tetrahedra_of_dataset
 
-        for tet in tetrahedra_of_dataset(dataset):
-            if _cell_passes(values[tet], lower, upper, all_points):
-                out.add_cell(CellType.TETRA, tet.tolist())
+        cells = uniform_cells(CellType.TETRA, tetrahedra_of_dataset(dataset))
     elif isinstance(dataset, PolyData):
-        for tri in dataset.triangles:
-            if _cell_passes(values[tri], lower, upper, all_points):
-                out.add_cell(CellType.TRIANGLE, tri.tolist())
-        for vid in dataset.verts:
-            if _cell_passes(values[[int(vid)]], lower, upper, all_points):
-                out.add_cell(CellType.VERTEX, (int(vid),))
-        for line in dataset.lines:
-            if _cell_passes(values[line], lower, upper, all_points):
-                out.add_cell(CellType.POLY_LINE, line.tolist())
+        lines = dataset.lines
+        cells = concat_cells(
+            [
+                uniform_cells(CellType.TRIANGLE, dataset.triangles),
+                uniform_cells(CellType.VERTEX, dataset.verts.reshape(-1, 1)),
+                CellArrays(
+                    np.full(len(lines), int(CellType.POLY_LINE), dtype=np.int64),
+                    offsets_of([len(line) for line in lines]),
+                    np.concatenate([np.zeros(0, dtype=np.int64)] + lines),
+                ),
+            ]
+        )
     else:
         raise TypeError(f"cannot threshold dataset of type {type(dataset).__name__}")
+
+    out = UnstructuredGrid(dataset.get_points().copy())
+    for name in dataset.point_data.names():
+        out.add_point_array(name, dataset.point_data[name].values.copy())
+    keep = cells_passing(inside[cells.connectivity], cells.offsets, all_points)
+    out.add_cell_arrays(*take_cells(cells, np.flatnonzero(keep)))
     return out

@@ -17,6 +17,8 @@ __all__ = [
     "cell_type_name",
     "triangulate_cell",
     "cell_edges",
+    "TETRA_SPLITS",
+    "TRIANGLE_SPLITS",
 ]
 
 
@@ -137,43 +139,52 @@ def cell_edges(cell_type: int, connectivity: Sequence[int]) -> List[Tuple[int, i
     return [(conn[a], conn[b]) for a, b in edges]
 
 
+#: Local-index triangles of every 2-d cell type, in the order
+#: :func:`triangulate_cell` emits them.
+TRIANGLE_SPLITS: Dict[CellType, Tuple[Tuple[int, int, int], ...]] = {
+    CellType.TRIANGLE: ((0, 1, 2),),
+    CellType.QUAD: tuple(_QUAD_TRIANGLES),
+}
+
+
 def triangulate_cell(cell_type: int, connectivity: Sequence[int]) -> List[Tuple[int, int, int]]:
     """Decompose a 2-d cell (triangle/quad) or the *surface* of nothing else.
 
     Volumetric cells are not handled here — use :func:`tetrahedralize_cell` and
     extract the boundary instead.  Returns a list of global-id triangles.
     """
-    ct = CellType(cell_type)
+    table = TRIANGLE_SPLITS.get(CellType(cell_type))
+    if table is None:
+        raise ValueError(
+            f"cannot triangulate cell type {cell_type_name(cell_type)}; "
+            "only 2-d cells are supported"
+        )
     conn = list(connectivity)
-    if ct == CellType.TRIANGLE:
-        return [(conn[0], conn[1], conn[2])]
-    if ct == CellType.QUAD:
-        return [tuple(conn[i] for i in tri) for tri in _QUAD_TRIANGLES]
-    raise ValueError(
-        f"cannot triangulate cell type {cell_type_name(cell_type)}; "
-        "only 2-d cells are supported"
-    )
+    return [tuple(conn[i] for i in tri) for tri in table]
+
+
+#: Local-index tetrahedra of every volumetric cell type, in the order
+#: :func:`tetrahedralize_cell` emits them (the voxel table is the hexahedron
+#: table read through the voxel-to-hexahedron corner permutation).
+TETRA_SPLITS: Dict[CellType, Tuple[Tuple[int, int, int, int], ...]] = {
+    CellType.TETRA: ((0, 1, 2, 3),),
+    CellType.VOXEL: tuple(tuple(_VOXEL_TO_HEX[i] for i in tet) for tet in _HEX_TETRAS),
+    CellType.HEXAHEDRON: tuple(_HEX_TETRAS),
+    CellType.WEDGE: tuple(_WEDGE_TETRAS),
+    CellType.PYRAMID: tuple(_PYRAMID_TETRAS),
+}
 
 
 def tetrahedralize_cell(cell_type: int, connectivity: Sequence[int]) -> List[Tuple[int, int, int, int]]:
     """Decompose a 3-d cell into tetrahedra (global point ids)."""
-    ct = CellType(cell_type)
+    table = TETRA_SPLITS.get(CellType(cell_type))
+    if table is None:
+        raise ValueError(
+            f"cannot tetrahedralize cell type {cell_type_name(cell_type)}; "
+            "only 3-d cells are supported"
+        )
     conn = list(connectivity)
-    if ct == CellType.TETRA:
-        return [tuple(conn)]
-    if ct == CellType.VOXEL:
-        conn = [conn[i] for i in _VOXEL_TO_HEX]
-        ct = CellType.HEXAHEDRON
-    if ct == CellType.HEXAHEDRON:
-        return [tuple(conn[i] for i in tet) for tet in _HEX_TETRAS]
-    if ct == CellType.WEDGE:
-        return [tuple(conn[i] for i in tet) for tet in _WEDGE_TETRAS]
-    if ct == CellType.PYRAMID:
-        return [tuple(conn[i] for i in tet) for tet in _PYRAMID_TETRAS]
-    raise ValueError(
-        f"cannot tetrahedralize cell type {cell_type_name(cell_type)}; "
-        "only 3-d cells are supported"
-    )
+    return [tuple(conn[i] for i in tet) for tet in table]
 
 
 def surface_triangles_of_tetra(connectivity: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -184,15 +195,9 @@ def surface_triangles_of_tetra(connectivity: Sequence[int]) -> List[Tuple[int, i
 
 def is_volumetric(cell_type: int) -> bool:
     """Whether the cell type encloses volume (3-d cell)."""
-    return CellType(cell_type) in (
-        CellType.TETRA,
-        CellType.VOXEL,
-        CellType.HEXAHEDRON,
-        CellType.WEDGE,
-        CellType.PYRAMID,
-    )
+    return CellType(cell_type) in TETRA_SPLITS
 
 
 def is_surface(cell_type: int) -> bool:
     """Whether the cell type is a 2-d (surface) cell."""
-    return CellType(cell_type) in (CellType.TRIANGLE, CellType.QUAD)
+    return CellType(cell_type) in TRIANGLE_SPLITS

@@ -36,7 +36,7 @@ __all__ = ["CachePayloadError", "dumps_payload", "loads_payload", "read_payload_
 MAGIC = b"RPRC"
 
 #: bump when the payload encoding changes incompatibly
-VERSION = 1
+VERSION = 2
 
 _HEADER_LEN = len(MAGIC) + 1 + hashlib.sha1().digest_size
 

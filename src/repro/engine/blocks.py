@@ -48,6 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.datamodel import CellType, Dataset, ImageData, PolyData, UnstructuredGrid
+from repro.datamodel.unstructured import CellArrays, concat_cells, take_cells, uniform_cells
 from repro.engine.batch import BatchJob, run_batch
 from repro.engine.cache import node_key, shared_cache
 from repro.obs.metrics import METRICS
@@ -487,15 +488,16 @@ def merge_unstructured_blocks(
     for name in names:
         stacked = np.vstack([p.point_data[name].values for p in pieces])
         out.add_point_array(name, stacked[rep_rows])
-    for piece, off in zip(pieces, offsets):
-        for ctype, conn in piece.cells():
-            out.add_cell(ctype, tuple(int(new_of_old[off + c]) for c in conn))
+    out.add_cell_arrays(
+        *concat_cells(
+            cells._replace(connectivity=new_of_old[off + cells.connectivity])
+            for cells, off in zip((p.cell_arrays() for p in pieces), offsets)
+        )
+    )
     return out
 
 
-def merge_threshold_blocks(
-    parent: Dataset, block_cells: Sequence[Sequence[Tuple[int, Sequence[int]]]]
-) -> UnstructuredGrid:
+def merge_threshold_blocks(parent: Dataset, block_cells: Sequence[CellArrays]) -> UnstructuredGrid:
     """Rebuild the whole-dataset threshold output from per-block cells.
 
     Mirrors :func:`repro.algorithms.threshold.threshold` exactly: the parent
@@ -506,9 +508,7 @@ def merge_threshold_blocks(
     out = UnstructuredGrid(parent.get_points().copy())
     for name in parent.point_data.names():
         out.add_point_array(name, parent.point_data[name].values.copy())
-    for cells in block_cells:
-        for ctype, conn in cells:
-            out.add_cell(int(ctype), tuple(int(p) for p in conn))
+    out.add_cell_arrays(*concat_cells(block_cells))
     return out
 
 
@@ -521,9 +521,7 @@ def _owned_only_grid(block: GridBlock) -> UnstructuredGrid:
     owned = UnstructuredGrid(data.get_points().copy())
     for name in data.point_data.names():
         owned.add_point_array(name, data.point_data[name].values.copy())
-    for (ctype, conn), keep in zip(data.cells(), block.owned_mask):
-        if keep:
-            owned.add_cell(ctype, conn)
+    owned.add_cell_arrays(*take_cells(data.cell_arrays(), np.flatnonzero(block.owned_mask)))
     return owned
 
 
@@ -534,9 +532,7 @@ def _owned_only_image(block: ImageBlock) -> ImageData:
     return _extract_sub_image(block.data, block.axis, c0 - g0, c1 - g0)
 
 
-def _image_threshold_cells(
-    block: ImageBlock, params: Dict[str, Any]
-) -> List[Tuple[int, List[int]]]:
+def _image_threshold_cells(block: ImageBlock, params: Dict[str, Any]) -> CellArrays:
     """Threshold the ghosted slab, keep owned tets, remap to global ids.
 
     The Freudenthal 6-tet split is translation-invariant per cell, so the
@@ -554,11 +550,7 @@ def _image_threshold_cells(
         upper=params["upper"],
         all_points=params["all_points"],
     )
-    conns = np.asarray([conn for _ctype, conn in out.cells()], dtype=np.int64).reshape(
-        -1, 4
-    )
-    if not len(conns):
-        return []
+    conns = out.cell_arrays().connectivity.reshape(-1, 4)
     g0, g1 = block.ghosted
     c0, c1 = block.owned
     lnx, lny, _lnz = block.data.dimensions
@@ -566,12 +558,10 @@ def _image_threshold_cells(
     base = lattice.min(axis=1) + g0
     kept = conns[(base >= c0) & (base < c1)]
     gmap = _global_point_ids(block.parent_dims, block.axis, g0, g1)
-    return [(int(CellType.TETRA), row.tolist()) for row in gmap[kept]]
+    return uniform_cells(CellType.TETRA, gmap[kept])
 
 
-def _grid_threshold_cells(
-    block: GridBlock, params: Dict[str, Any]
-) -> List[Tuple[int, List[int]]]:
+def _grid_threshold_cells(block: GridBlock, params: Dict[str, Any]) -> CellArrays:
     """Threshold the owned cells of one shard, remapped to global point ids."""
     from repro.algorithms import threshold as threshold_filter
 
@@ -582,10 +572,8 @@ def _grid_threshold_cells(
         upper=params["upper"],
         all_points=params["all_points"],
     )
-    pids = block.point_ids
-    return [
-        (int(ctype), [int(pids[int(p)]) for p in conn]) for ctype, conn in out.cells()
-    ]
+    cells = out.cell_arrays()
+    return cells._replace(connectivity=block.point_ids[cells.connectivity])
 
 
 def _execute_block_op(op: str, kind: str, block: Any, params: Dict[str, Any]) -> Any:
@@ -617,12 +605,6 @@ def _execute_block_op(op: str, kind: str, block: Any, params: Dict[str, Any]) ->
     raise ValueError(f"unsupported blocked op {op!r}")
 
 
-def _result_cell_count(op: str, value: Any) -> int:
-    if op == "threshold":
-        return len(value)
-    return int(value.n_cells)
-
-
 def _block_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one block op, consulting the shared tiered cache first."""
     op = payload["op"]
@@ -631,11 +613,11 @@ def _block_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     found, value = cache.get(key)
     if found:
         METRICS.incr("blocks.job.cache_hits", op=op)
-        return {"cached": True, "value": value, "n_cells": _result_cell_count(op, value)}
+        return {"cached": True, "value": value, "n_cells": int(value.n_cells)}
     METRICS.incr("blocks.job.cache_misses", op=op)
     value = _execute_block_op(op, payload["kind"], payload["block"], payload["params"])
     cache.put(key, value)
-    return {"cached": False, "value": value, "n_cells": _result_cell_count(op, value)}
+    return {"cached": False, "value": value, "n_cells": int(value.n_cells)}
 
 
 # --------------------------------------------------------------------------- #

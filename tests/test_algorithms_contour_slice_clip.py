@@ -205,6 +205,34 @@ class TestClip:
         clipped = clip_unstructured(grid, keep_negative=True)
         assert clipped.n_cells == 1
 
+    def test_clip_unstructured_keeps_a_quad_on_the_kept_side(self):
+        grid = UnstructuredGrid(
+            np.array([[-2, 0, 0], [-1, 0, 0], [-1, 1, 0], [-2, 1, 0]], dtype=float)
+        )
+        grid.add_cell(CellType.QUAD, (0, 1, 2, 3))
+        clipped = clip_unstructured(grid, keep_negative=True)
+        assert clipped.n_points == 4
+        assert list(clipped.cells()) == [
+            (CellType.TRIANGLE, (0, 1, 2)),
+            (CellType.TRIANGLE, (0, 2, 3)),
+        ]
+
+    def test_cut_quad_matches_its_two_triangles(self):
+        pts = np.array([[-1, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 1, 0.5]], dtype=float)
+        quads = UnstructuredGrid(pts)
+        quads.add_cell(CellType.QUAD, (0, 1, 2, 3))
+        quads.add_point_array("f", np.arange(4, dtype=float))
+        tris = UnstructuredGrid(pts)
+        tris.add_cells(CellType.TRIANGLE, [(0, 1, 2), (0, 2, 3)])
+        tris.add_point_array("f", np.arange(4, dtype=float))
+        for keep_negative in (True, False):
+            a = clip_unstructured(quads, origin=(0.2, 0, 0), keep_negative=keep_negative)
+            b = clip_unstructured(tris, origin=(0.2, 0, 0), keep_negative=keep_negative)
+            assert a.n_cells > 0
+            assert np.array_equal(a.points, b.points)
+            assert list(a.cells()) == list(b.cells())
+            assert np.array_equal(a.point_data["f"].values, b.point_data["f"].values)
+
     def test_clip_whole_tet_inside(self):
         pts = np.array([[-3, 0, 0], [-2, 0, 0], [-2, 1, 0], [-2, 0, 1]], dtype=float)
         grid = UnstructuredGrid(pts)

@@ -207,6 +207,77 @@ class TestUnstructuredGrid:
         with pytest.raises(ValueError):
             grid.add_cell(CellType.TETRA, (0, 1, 2))
 
+    def test_add_cells_accepts_empty_input(self):
+        grid = UnstructuredGrid(np.zeros((3, 3)))
+        grid.add_cells(CellType.TRIANGLE, [])
+        grid.add_cells(CellType.TRIANGLE, np.zeros((0, 3), dtype=np.int64))
+        assert grid.n_cells == 0 and list(grid.cells()) == []
+
+    @pytest.mark.parametrize(
+        "cell_type, conn, error",
+        [
+            (CellType.LINE, (0, 5), IndexError),
+            (CellType.LINE, (-1, 0), IndexError),
+            (CellType.TETRA, (0, 1, 2), ValueError),
+            (2, (0, 1), ValueError),  # not a cell-type code
+            (99, (0,), ValueError),
+        ],
+    )
+    def test_bulk_add_raises_like_add_cell(self, cell_type, conn, error):
+        grid = UnstructuredGrid(np.zeros((4, 3)))
+        grid.add_cell(CellType.VERTEX, (0,))
+        with pytest.raises(error) as single:
+            grid.add_cell(cell_type, conn)
+        with pytest.raises(error) as bulk:
+            grid.add_cell_arrays(
+                [CellType.VERTEX, cell_type], [0, 1, 1 + len(conn)], (1,) + conn
+            )
+        assert str(bulk.value) == str(single.value)
+        if int(cell_type) in {int(ct) for ct in CellType}:
+            with pytest.raises(error) as rows:
+                grid.add_cells(cell_type, [conn])
+            assert str(rows.value) == str(single.value)
+        assert list(grid.cells()) == [(CellType.VERTEX, (0,))]  # nothing appended
+
+    def test_interleaved_adds_keep_insertion_order(self):
+        grid = UnstructuredGrid(np.zeros((5, 3)))
+        assert grid.add_cell(CellType.VERTEX, (4,)) == 0
+        grid.add_cells(CellType.LINE, [(0, 1), (1, 2)])
+        assert grid.add_cell(CellType.TRIANGLE, (0, 1, 2)) == 3
+        assert grid.n_cells == 4  # counts the pending cell without a fold
+        grid.add_cell_arrays([CellType.POLY_LINE, CellType.VERTEX], [0, 3, 4], [3, 2, 1, 0])
+        assert list(grid.cells()) == [
+            (CellType.VERTEX, (4,)),
+            (CellType.LINE, (0, 1)),
+            (CellType.LINE, (1, 2)),
+            (CellType.TRIANGLE, (0, 1, 2)),
+            (CellType.POLY_LINE, (3, 2, 1)),
+            (CellType.VERTEX, (0,)),
+        ]
+        assert grid.cell(-2) == (CellType.POLY_LINE, (3, 2, 1))
+        types, offsets, conn = grid.cell_arrays()
+        assert types.tolist() == [1, 3, 3, 5, 4, 1]
+        assert offsets.tolist() == [0, 1, 3, 5, 8, 11, 12]
+        with pytest.raises(ValueError):
+            conn[0] = 1  # read-only views
+
+    def test_read_and_unread_grids_fingerprint_and_pickle_alike(self):
+        from repro.datamodel import dumps_payload
+
+        def build():
+            grid = UnstructuredGrid(np.arange(15, dtype=float).reshape(5, 3))
+            grid.add_cell(CellType.TETRA, (0, 1, 2, 3))
+            grid.add_cells(CellType.TRIANGLE, [(1, 2, 4)])
+            grid.add_cell(CellType.VERTEX, (4,))
+            grid.add_point_array("s", np.arange(5, dtype=float))
+            return grid
+
+        read, unread = build(), build()
+        assert len(list(read.cells())) == 3  # folds the pending buffer
+        assert read.content_fingerprint() == unread.content_fingerprint()
+        assert dumps_payload(read) == dumps_payload(build())
+        assert dumps_payload(unread) == dumps_payload(read)
+
     def test_cells_of_type(self):
         grid = self._tet_grid()
         assert grid.cells_of_type(CellType.TETRA).shape == (1, 4)

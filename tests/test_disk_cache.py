@@ -179,6 +179,23 @@ class TestDiskCache:
         found, _ = cache.get("k")
         assert not found and cache.stats.corruptions == 1
 
+    def test_previous_payload_version_is_a_miss(self, tmp_path):
+        # a version-1 entry pickles grids in the old per-cell layout: it must
+        # be discarded as a miss, not unpickled into a broken grid
+        import hashlib
+        import pickle
+
+        from repro.datamodel.serialization import MAGIC, VERSION
+
+        assert VERSION == 2
+        cache = DiskCache(tmp_path)
+        cache.put("old", "value")
+        (path,) = list(tmp_path.glob("*/old.bin"))
+        payload = pickle.dumps("value", protocol=4)
+        path.write_bytes(MAGIC + bytes([1]) + hashlib.sha1(payload).digest() + payload)
+        assert cache.get("old") == (False, None)
+        assert cache.stats.corruptions == 1
+
     def test_unpicklable_value_is_skipped(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put("bad", lambda: None)  # lambdas don't pickle

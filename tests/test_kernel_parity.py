@@ -6,20 +6,28 @@ fast path must reproduce the reference bit-for-bit where the arithmetic is
 unchanged, and within a quantified tolerance where it legitimately
 reassociates floats (index-space ray marching, early ray termination).
 The rasterizer's pinned references (the three-path triangle rasterizer and
-the per-segment line loop it replaced) live at the end of this file.
+the per-segment line loop it replaced) and the per-cell threshold, clip and
+tetrahedralization loops live at the end of this file.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.clip import (
+    _evaluate,
+    _image_to_unstructured,
+    _PointPool,
+    clip_unstructured,
+)
 from repro.algorithms.delaunay3d import _bowyer_watson, _bowyer_watson_loop
+from repro.algorithms.implicit import ImplicitFunction
 from repro.algorithms.interpolation import (
     TrilinearSampler,
     _trilinear_gather_loop,
@@ -29,6 +37,8 @@ from repro.algorithms.isosurface import (
     _collect_line_corners_loop,
     _collect_surface_corners,
     _collect_surface_corners_loop,
+    _compute_tetrahedra,
+    _image_data_tetrahedra,
     _extract_level_set_loop,
     _unique_edges,
     _unique_edges_loop,
@@ -40,8 +50,17 @@ from repro.algorithms.stream_tracer import (
     _trace_batch_signed,
     stream_tracer,
 )
-from repro.data.disk_flow import generate_disk_flow
+from repro.algorithms.threshold import threshold
 from repro.data.marschner_lobb import generate_marschner_lobb
+from repro.datamodel import (
+    CELL_TYPE_NPOINTS,
+    CellType,
+    Dataset,
+    ImageData,
+    PolyData,
+    UnstructuredGrid,
+)
+from repro.datamodel.cells import is_volumetric, tetrahedralize_cell
 from repro.rendering import rasterizer
 from repro.rendering.camera import Camera
 from repro.rendering.framebuffer import Framebuffer
@@ -859,3 +878,364 @@ class TestLineFragmentParity:
             rasterizer.rasterize_lines, _rasterize_lines_per_segment_reference,
             60, 5, points, np.array([[0, 1]]), np.ones((2, 3)),
         )
+
+
+# --------------------------------------------------------------------------- #
+# Columnar cell kernels: threshold, clip and tetrahedralization.  The pinned
+# references below are the per-cell loops the array paths replaced, moved
+# here verbatim (renamed); the tests pin the array paths against them bit for
+# bit on generated inputs.  The loop clip never handled QUAD cells, so the
+# strategies leave quads out (the quad fix has its own tests).
+# --------------------------------------------------------------------------- #
+def _cell_passes(point_values: np.ndarray, lower: float, upper: float, all_points: bool) -> bool:
+    inside = (point_values >= lower) & (point_values <= upper)
+    return bool(inside.all() if all_points else inside.any())
+
+
+def _threshold_loop(
+    dataset: Dataset,
+    array_name: Optional[str] = None,
+    lower: float = -np.inf,
+    upper: float = np.inf,
+    all_points: bool = True,
+) -> UnstructuredGrid:
+    """Keep cells whose point values fall within ``[lower, upper]``.
+
+    Parameters
+    ----------
+    array_name:
+        Point scalar used for the test; defaults to the first scalar array.
+    all_points:
+        When true (default) every point of a cell must pass; otherwise a
+        single passing point keeps the cell (ParaView's "Any Point" mode).
+
+    Returns
+    -------
+    UnstructuredGrid
+        The surviving cells; point data is carried over unchanged (the point
+        set is not compacted, matching the simple behaviour of the VTK
+        filter before cleaning).
+    """
+    if array_name is None:
+        arr = dataset.point_data.first_scalar()
+        if arr is None:
+            raise ValueError("dataset has no point scalar array to threshold")
+        array_name = arr.name
+    elif array_name not in dataset.point_data:
+        raise KeyError(
+            f"no point array named {array_name!r}; available: {dataset.point_data.names()}"
+        )
+    values = dataset.point_data[array_name].as_scalar()
+
+    out = UnstructuredGrid(dataset.get_points().copy())
+    for name in dataset.point_data.names():
+        out.add_point_array(name, dataset.point_data[name].values.copy())
+
+    if isinstance(dataset, UnstructuredGrid):
+        for ctype, conn in dataset.cells():
+            if _cell_passes(values[list(conn)], lower, upper, all_points):
+                out.add_cell(ctype, conn)
+    elif isinstance(dataset, ImageData):
+        from repro.algorithms.isosurface import tetrahedra_of_dataset
+
+        for tet in tetrahedra_of_dataset(dataset):
+            if _cell_passes(values[tet], lower, upper, all_points):
+                out.add_cell(CellType.TETRA, tet.tolist())
+    elif isinstance(dataset, PolyData):
+        for tri in dataset.triangles:
+            if _cell_passes(values[tri], lower, upper, all_points):
+                out.add_cell(CellType.TRIANGLE, tri.tolist())
+        for vid in dataset.verts:
+            if _cell_passes(values[[int(vid)]], lower, upper, all_points):
+                out.add_cell(CellType.VERTEX, (int(vid),))
+        for line in dataset.lines:
+            if _cell_passes(values[line], lower, upper, all_points):
+                out.add_cell(CellType.POLY_LINE, line.tolist())
+    else:
+        raise TypeError(f"cannot threshold dataset of type {type(dataset).__name__}")
+    return out
+
+
+def _clip_unstructured_loop(
+    grid: UnstructuredGrid,
+    origin: Sequence[float] = (0.0, 0.0, 0.0),
+    normal: Sequence[float] = (1.0, 0.0, 0.0),
+    keep_negative: bool = True,
+    function: Optional[ImplicitFunction] = None,
+) -> UnstructuredGrid:
+    """Clip an unstructured grid, splitting boundary tetrahedra exactly."""
+    g = _evaluate(function, origin, normal, grid.points)
+    if not keep_negative:
+        g = -g
+    keep = g <= 0.0
+
+    pool = _PointPool(grid, g)
+    out_tets: List[Tuple[int, int, int, int]] = []
+    out_other: List[Tuple[int, Tuple[int, ...]]] = []
+
+    for ctype, conn in grid.cells():
+        if is_volumetric(ctype):
+            for tet in tetrahedralize_cell(ctype, conn):
+                out_tets.extend(_clip_tetrahedron(tet, keep, pool))
+        elif CellType(ctype) == CellType.VERTEX:
+            pid = conn[0]
+            if keep[pid]:
+                out_other.append((CellType.VERTEX, (pool.original(pid),)))
+        elif CellType(ctype) == CellType.TRIANGLE:
+            # delegate to the PolyData logic for a single triangle
+            inside = [bool(keep[i]) for i in conn]
+            n_in = sum(inside)
+            if n_in == 3:
+                out_other.append((CellType.TRIANGLE, tuple(pool.original(i) for i in conn)))
+            elif n_in == 2:
+                o = conn[inside.index(False)]
+                kept = [i for i, f in zip(conn, inside) if f]
+                a0, a1 = pool.original(kept[0]), pool.original(kept[1])
+                e0, e1 = pool.edge(kept[0], o), pool.edge(kept[1], o)
+                out_other.append((CellType.TRIANGLE, (a0, a1, e1)))
+                out_other.append((CellType.TRIANGLE, (a0, e1, e0)))
+            elif n_in == 1:
+                k = conn[inside.index(True)]
+                o = [i for i, f in zip(conn, inside) if not f]
+                out_other.append(
+                    (CellType.TRIANGLE, (pool.original(k), pool.edge(k, o[0]), pool.edge(k, o[1])))
+                )
+        elif CellType(ctype) in (CellType.LINE, CellType.POLY_LINE):
+            ids = list(conn)
+            if all(keep[i] for i in ids):
+                out_other.append((CellType(ctype), tuple(pool.original(i) for i in ids)))
+        # other 2-d cells are first triangulated by callers; ignore here
+
+    result = UnstructuredGrid(pool.build_points())
+    for tet in out_tets:
+        result.add_cell(CellType.TETRA, tet)
+    for ctype, conn in out_other:
+        result.add_cell(ctype, conn)
+    pool.attach_point_data(result)
+    return result
+
+
+def _clip_tetrahedron(
+    tet: Sequence[int],
+    keep: np.ndarray,
+    pool: _PointPool,
+) -> List[Tuple[int, int, int, int]]:
+    """Clip one tetrahedron, returning kept tetrahedra in output ids."""
+    ids = [int(i) for i in tet]
+    inside = [bool(keep[i]) for i in ids]
+    n_in = sum(inside)
+    if n_in == 0:
+        return []
+    if n_in == 4:
+        return [tuple(pool.original(i) for i in ids)]  # type: ignore[return-value]
+
+    kept = [i for i, f in zip(ids, inside) if f]
+    out = [i for i, f in zip(ids, inside) if not f]
+
+    if n_in == 1:
+        k0 = kept[0]
+        e = [pool.edge(k0, o) for o in out]
+        return [(pool.original(k0), e[0], e[1], e[2])]
+
+    if n_in == 3:
+        o = out[0]
+        k0, k1, k2 = kept
+        e0 = pool.edge(k0, o)
+        e1 = pool.edge(k1, o)
+        e2 = pool.edge(k2, o)
+        a0, a1, a2 = pool.original(k0), pool.original(k1), pool.original(k2)
+        return [
+            (a0, a1, a2, e0),
+            (a1, a2, e0, e1),
+            (a2, e0, e1, e2),
+        ]
+
+    # n_in == 2: the kept region is a wedge with triangular faces
+    # (k0, e00, e01) and (k1, e10, e11)
+    k0, k1 = kept
+    o0, o1 = out
+    e00 = pool.edge(k0, o0)
+    e01 = pool.edge(k0, o1)
+    e10 = pool.edge(k1, o0)
+    e11 = pool.edge(k1, o1)
+    a0, a1 = pool.original(k0), pool.original(k1)
+    return [
+        (a0, e00, e01, a1),
+        (e00, e01, a1, e10),
+        (e01, a1, e10, e11),
+    ]
+
+
+def _tetrahedra_loop(dataset: Dataset) -> np.ndarray:
+    if isinstance(dataset, ImageData):
+        return _image_data_tetrahedra(dataset)
+    if isinstance(dataset, UnstructuredGrid):
+        tets: List[Tuple[int, int, int, int]] = []
+        for ctype, conn in dataset.cells():
+            if is_volumetric(ctype):
+                tets.extend(tetrahedralize_cell(ctype, conn))
+        if not tets:
+            return np.zeros((0, 4), dtype=np.int64)
+        return np.asarray(tets, dtype=np.int64)
+    raise TypeError(
+        f"cannot decompose dataset of type {type(dataset).__name__} into tetrahedra"
+    )
+
+
+_MIXED_TYPES = (
+    CellType.TETRA, CellType.HEXAHEDRON, CellType.VOXEL, CellType.WEDGE,
+    CellType.PYRAMID, CellType.VERTEX, CellType.TRIANGLE, CellType.LINE,
+    CellType.POLY_LINE,
+)
+# a small value set: planes through nodes (g == 0 exactly), repeated values,
+# bounds landing on node values, and NaN bands
+_NODE_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0, np.nan)
+
+
+def _field(draw, n: int) -> np.ndarray:
+    kind = draw(st.sampled_from(["mixed", "constant", "nan-band"]))
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from(_NODE_VALUES)))
+    values = np.asarray(draw(st.lists(st.sampled_from(_NODE_VALUES), min_size=n, max_size=n)))
+    if kind == "nan-band" and n:
+        lo = draw(st.integers(0, n - 1))
+        values[lo : lo + draw(st.integers(1, 4))] = np.nan
+    return values
+
+
+def _with_point_data(draw, dataset, n: int):
+    dataset.add_point_array("s", _field(draw, n))
+    vec = np.asarray(draw(st.lists(st.sampled_from(_NODE_VALUES[:-1]), min_size=3 * n, max_size=3 * n)))
+    dataset.add_point_array("v", vec.reshape(n, 3))
+    return dataset
+
+
+def _coords(draw, n: int, nan: bool) -> np.ndarray:
+    pts = np.asarray(
+        draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0)), min_size=3 * n, max_size=3 * n))
+    ).reshape(n, 3)
+    if nan and n and draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = np.nan
+    return pts
+
+
+@st.composite
+def _mixed_grids(draw, nan_points: bool = False):
+    n = draw(st.integers(1, 14))
+    grid = UnstructuredGrid(_coords(draw, n, nan_points))
+    for ct in draw(st.lists(st.sampled_from(_MIXED_TYPES), max_size=12)):
+        size = CELL_TYPE_NPOINTS[ct]
+        if size < 0:
+            size = draw(st.integers(0, 5))
+        grid.add_cell(ct, draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+    return _with_point_data(draw, grid, n)
+
+
+@st.composite
+def _images(draw):
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    image = ImageData(dims, origin=(0.0, -1.0, 0.5), spacing=(0.5, 1.0, 0.25))
+    return _with_point_data(draw, image, int(np.prod(dims)))
+
+
+@st.composite
+def _polydatas(draw):
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    poly = PolyData(
+        _coords(draw, n, False),
+        triangles=draw(st.lists(st.lists(ids, min_size=3, max_size=3), max_size=6)),
+        lines=draw(st.lists(st.lists(ids, min_size=2, max_size=5), max_size=4)),
+        verts=draw(st.lists(ids, max_size=5)),
+    )
+    return _with_point_data(draw, poly, n)
+
+
+def _assert_same_grid(fast: UnstructuredGrid, ref: UnstructuredGrid) -> None:
+    assert np.array_equal(fast.points, ref.points, equal_nan=True)
+    assert fast.points.dtype == ref.points.dtype
+    assert list(fast.cells()) == list(ref.cells())
+    assert fast.point_data.names() == ref.point_data.names()
+    for name in ref.point_data.names():
+        assert np.array_equal(
+            fast.point_data[name].values, ref.point_data[name].values, equal_nan=True
+        )
+
+
+_BOUNDS = st.sampled_from((-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf))
+
+
+class TestThresholdParity:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dataset=st.one_of(_mixed_grids(), _images(), _polydatas()))
+    def test_matches_loop(self, data, dataset):
+        lower, upper = data.draw(_BOUNDS), data.draw(_BOUNDS)
+        all_points = data.draw(st.booleans())
+        _assert_same_grid(
+            threshold(dataset, "s", lower, upper, all_points),
+            _threshold_loop(dataset, "s", lower, upper, all_points),
+        )
+
+    @pytest.mark.parametrize("all_points", [True, False])
+    def test_mixed_grid_with_every_type(self, all_points):
+        grid = UnstructuredGrid(np.arange(30, dtype=float).reshape(10, 3))
+        for ct in _MIXED_TYPES:
+            size = CELL_TYPE_NPOINTS[ct] if CELL_TYPE_NPOINTS[ct] > 0 else 4
+            grid.add_cell(ct, [(i * 3 + int(ct)) % 10 for i in range(size)])
+        grid.add_cell(CellType.POLY_LINE, [])
+        grid.add_point_array("s", np.linspace(0.0, 1.0, 10))
+        _assert_same_grid(
+            threshold(grid, "s", 0.2, 0.8, all_points),
+            _threshold_loop(grid, "s", 0.2, 0.8, all_points),
+        )
+
+
+_PLANE_NORMALS = st.sampled_from(((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, -1.0, 0.5), (0.0, 0.0, -1.0)))
+
+
+class TestClipParity:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), grid=st.one_of(_mixed_grids(nan_points=True), _images().map(
+        _image_to_unstructured)))
+    def test_matches_loop(self, data, grid):
+        # origins at node coordinates put the plane through vertices (g == 0)
+        origin = tuple(data.draw(st.sampled_from((-1.0, 0.0, 0.5, 1.0))) for _ in range(3))
+        normal = data.draw(_PLANE_NORMALS)
+        keep_negative = data.draw(st.booleans())
+        _assert_same_grid(
+            clip_unstructured(grid, origin, normal, keep_negative),
+            _clip_unstructured_loop(grid, origin, normal, keep_negative),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), grid=_mixed_grids())
+    def test_matches_loop_on_clip_of_threshold(self, data, grid):
+        cut = threshold(grid, "s", -0.5, 1.0, data.draw(st.booleans()))
+        normal = data.draw(_PLANE_NORMALS)
+        _assert_same_grid(
+            clip_unstructured(cut, (0.5, 0.0, 0.0), normal),
+            _clip_unstructured_loop(cut, (0.5, 0.0, 0.0), normal),
+        )
+
+    @pytest.mark.parametrize("keep_negative", [True, False])
+    def test_image_volume(self, ml20, keep_negative):
+        grid = _image_to_unstructured(ml20)
+        _assert_same_grid(
+            clip_unstructured(grid, (0.1, 0.0, 0.0), (1.0, 0.5, 0.0), keep_negative),
+            _clip_unstructured_loop(grid, (0.1, 0.0, 0.0), (1.0, 0.5, 0.0), keep_negative),
+        )
+
+
+class TestTetrahedraParity:
+    @settings(max_examples=30, deadline=None)
+    @given(dataset=st.one_of(_mixed_grids(), _images()))
+    def test_matches_loop(self, dataset):
+        tets = _compute_tetrahedra(dataset)
+        assert not tets.flags.writeable
+        assert tets.dtype == np.int64
+        assert np.array_equal(tets, _tetrahedra_loop(dataset))
+
+    def test_all_tetra_grid(self):
+        grid = UnstructuredGrid(np.zeros((6, 3)))
+        grid.add_cells(CellType.TETRA, [[0, 1, 2, 3], [2, 3, 4, 5]])
+        assert np.array_equal(_compute_tetrahedra(grid), _tetrahedra_loop(grid))
